@@ -78,22 +78,7 @@ def demand_shift(previous: np.ndarray, current: np.ndarray) -> float:
 
 
 class OnlineSoCL:
-    """Stateful SoCL with incremental warm-start repair between slots.
-
-    **Speculative-solve contract** (what the pipelined slot runtime
-    relies on, :mod:`repro.runtime.pipeline`): :meth:`solve` reads only
-    the problem instance it is handed and solver-private state mutated
-    by :meth:`solve` itself and :meth:`note_failures` — never the
-    instance pool, the autoscaler, replay output or any other
-    post-replay runtime state.  The simulator therefore runs slot
-    *t+1*'s solve while slot *t*'s replay is still in flight; both
-    mutation points stay on the main thread in serial order (the fault
-    draw that feeds ``note_failures`` happens *before* the replay is
-    dispatched), so the speculative solve sees exactly the state a
-    serial loop would.  Any replacement solver used with
-    ``OnlineSimulator(pipeline="on"/"auto")`` must honor the same
-    contract.
-    """
+    """Stateful SoCL with incremental warm-start repair between slots."""
 
     name = "SoCL-Online"
 

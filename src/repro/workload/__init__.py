@@ -11,7 +11,6 @@ analysis of Fig. 3.
 
 from repro.workload.requests import (
     RequestBatch,
-    prefetch_batches,
     UserRequest,
     requests_by_server,
     services_in_requests,
@@ -47,7 +46,6 @@ from repro.workload.behavior import (
 
 __all__ = [
     "RequestBatch",
-    "prefetch_batches",
     "UserRequest",
     "requests_by_server",
     "services_in_requests",

@@ -480,65 +480,3 @@ def data_demand_matrix(
         for svc in req.chain:
             data[svc, req.home] += req.data_into(svc)
     return data
-
-
-def prefetch_batches(batches: Iterable, depth: int = 1) -> Iterable:
-    """Iterate ``batches`` with a background producer thread.
-
-    Yields exactly the items of ``batches`` in order, but draws them on
-    a daemon thread through a bounded queue of ``depth`` items, so the
-    cost of producing batch *w+1* (e.g. a
-    :func:`~repro.workload.users.generate_request_windows` window's
-    chain/data sampling) overlaps the consumer's work on batch *w*.
-    Order, contents, and any RNG draw sequence inside ``batches`` are
-    unchanged — the iterable itself is only ever advanced from the one
-    producer thread.
-
-    A producer exception is re-raised at the consumer's matching
-    ``next()``; abandoning the iterator early (``break``/``close()``)
-    stops and joins the producer promptly instead of leaking a thread
-    blocked on a full queue.
-    """
-    import queue as queue_mod
-    import threading
-
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    q: queue_mod.Queue = queue_mod.Queue(maxsize=int(depth))
-    done = object()
-    stop = threading.Event()
-    error: list[BaseException] = []
-
-    def _put(item) -> bool:
-        while not stop.is_set():
-            try:
-                q.put(item, timeout=0.05)
-                return True
-            except queue_mod.Full:
-                continue
-        return False
-
-    def _produce() -> None:
-        try:
-            for item in batches:
-                if not _put(item):
-                    return
-        except BaseException as exc:  # noqa: BLE001 - re-raised by consumer
-            error.append(exc)
-        _put(done)
-
-    thread = threading.Thread(
-        target=_produce, name="batch-prefetch", daemon=True
-    )
-    thread.start()
-    try:
-        while True:
-            item = q.get()
-            if item is done:
-                break
-            yield item
-        if error:
-            raise error[0]
-    finally:
-        stop.set()
-        thread.join()

@@ -270,7 +270,6 @@ def generate_request_windows(
     rng: SeedLike = None,
     window_size: int = 100_000,
     homes: Optional[Sequence[int]] = None,
-    prefetch: int = 0,
 ):
     """Stream ``spec.n_users`` requests as bounded columnar windows.
 
@@ -293,13 +292,6 @@ def generate_request_windows(
     :func:`generate_request_batch`, the stream is seed-stable but not
     bit-compatible with the sequential generator; changing
     ``window_size`` changes the drawn workload.
-
-    ``prefetch > 0`` draws up to that many windows ahead on a background
-    thread (:func:`~repro.workload.requests.prefetch_batches`), hiding
-    window generation behind the consumer's per-window work.  The
-    windows, their order, and every RNG draw are identical to
-    ``prefetch=0`` — all sampling still runs sequentially on the one
-    producer thread; memory grows by ``prefetch`` extra windows.
     """
     check_positive("window_size", window_size)
 
@@ -329,10 +321,6 @@ def generate_request_windows(
                 network, app, sub, rng=child, homes=homes[lo:hi]
             )
 
-    if prefetch:
-        from repro.workload.requests import prefetch_batches
-
-        return prefetch_batches(_windows(), depth=prefetch)
     return _windows()
 
 

@@ -49,16 +49,6 @@ class TestParser:
     def test_trace_defaults(self):
         args = build_parser().parse_args(["trace"])
         assert args.servers == 16 and args.users == 30
-        assert args.pipeline == "auto"
-
-    def test_trace_pipeline_modes(self):
-        for mode in ("on", "off", "auto"):
-            args = build_parser().parse_args(["trace", "--pipeline", mode])
-            assert args.pipeline == mode
-
-    def test_trace_pipeline_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["trace", "--pipeline", "maybe"])
 
 
 class TestCommands:
@@ -106,16 +96,6 @@ class TestCommands:
         rc = main(["figure", "fig99"])
         assert rc == 2
         assert "unknown figure" in capsys.readouterr().err
-
-    def test_trace_pipeline_on_matches_off(self, capsys):
-        """The CLI path re-exercises the bit-identity contract: pipelined
-        and serial traces print identical per-slot tables."""
-        argv = ["trace", "--servers", "8", "--users", "6", "--slots", "2"]
-        assert main(argv + ["--pipeline", "off"]) == 0
-        off = capsys.readouterr().out
-        assert main(argv + ["--pipeline", "on"]) == 0
-        on = capsys.readouterr().out
-        assert on == off
 
     def test_trace_with_failures(self, capsys):
         rc = main(

@@ -168,66 +168,3 @@ class TestWindows:
         assert wins.n_requests == full.n_requests
         assert wins.data_in.min() >= 0
         assert wins.chains.max() < app.n_services
-
-
-class TestPrefetch:
-    """prefetch_batches and generate_request_windows(prefetch=N)."""
-
-    def test_prefetched_windows_bit_equal(self, net, app):
-        spec = WorkloadSpec(n_users=14)
-        plain = list(generate_request_windows(
-            net, app, spec, rng=5, window_size=4
-        ))
-        ahead = list(generate_request_windows(
-            net, app, spec, rng=5, window_size=4, prefetch=2
-        ))
-        assert len(plain) == len(ahead)
-        for a, b in zip(plain, ahead):
-            for name in ("index", "homes", "chains", "chain_offsets",
-                         "data_in", "data_out", "edge_data"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
-
-    def test_prefetch_preserves_order(self):
-        from repro.workload import prefetch_batches
-
-        assert list(prefetch_batches(iter(range(50)), depth=3)) == list(
-            range(50)
-        )
-
-    def test_producer_error_propagates(self):
-        from repro.workload import prefetch_batches
-
-        def gen():
-            yield 1
-            raise RuntimeError("source exploded")
-
-        it = prefetch_batches(gen(), depth=1)
-        assert next(it) == 1
-        with pytest.raises(RuntimeError, match="source exploded"):
-            list(it)
-
-    def test_early_abandon_joins_producer(self):
-        import threading
-
-        from repro.workload import prefetch_batches
-
-        before = threading.active_count()
-        it = prefetch_batches(iter(range(1000)), depth=1)
-        assert next(it) == 0
-        it.close()  # abandon mid-stream: producer must wind down
-        assert not any(
-            t.name == "batch-prefetch" and t.is_alive()
-            for t in threading.enumerate()
-        )
-        assert threading.active_count() <= before + 1
-
-    def test_bad_depth(self):
-        from repro.workload import prefetch_batches
-
-        with pytest.raises(ValueError, match="depth"):
-            list(prefetch_batches(iter([1]), depth=0))
-
-    def test_empty_source(self):
-        from repro.workload import prefetch_batches
-
-        assert list(prefetch_batches(iter([]), depth=2)) == []
