@@ -165,60 +165,6 @@ class ReplayPlan:
             )
         return ready
 
-    def warm_initial_ready(self, node_wait: np.ndarray) -> np.ndarray:
-        """Warm-start initialization: congestion-free plus a per-node
-        admission-delay estimate.
-
-        ``node_wait[v]`` is an *estimated* extra delay (queueing plus
-        cold-start penalty) each invocation landing on node ``v`` will
-        see; the chain recurrence folds it in with the exact event-loop
-        float ops, as if every stage finished ``node_wait`` late.  Any
-        seed is sound — the fixpoint iteration still only commits a
-        converged, tie-free solution, which is the unique causal
-        schedule (see the module docstring) — a close one just
-        converges in fewer rounds.
-        """
-        n_req, width = self.n_req, self.width
-        extra = np.zeros((n_req, width), dtype=np.float64)
-        if self.n_edge:
-            extra[self.e_rows, self.e_cols] = node_wait[self.v_edge]
-        ready = np.zeros((n_req, width), dtype=np.float64)
-        ready[:, 0] = self.first_ready
-        for j in range(width - 1):
-            free_finish = (ready[:, j] + extra[:, j]) + self.service[:, j]
-            ready[:, j + 1] = np.where(
-                self.lengths > j + 1,
-                ready[:, j] + ((free_finish - ready[:, j]) + self.transfer[:, j]),
-                0.0,
-            )
-        return ready
-
-    def node_signature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node ``(invocation counts, service-multiset hash)``.
-
-        The hash is an order-independent (additive, wrapping uint64)
-        digest of the *distinct* service ids invoked on each node — it
-        changes whenever placement or routing moves a service between
-        nodes, which is exactly the invalidation signal the cross-slot
-        warm start needs.  It deliberately ignores how *often* each
-        service was invoked: per-slot arrival counts always drift, and
-        drift within tolerance is the count check's job, not the
-        signature's.  Nodes with zero invocations hash to zero.
-        """
-        counts = np.bincount(self.v_edge, minlength=self.n_nodes)
-        sig = np.zeros(self.n_nodes, dtype=np.uint64)
-        if self.n_edge:
-            n_svc = int(self.svc_edge.max()) + 1
-            codes = np.unique(
-                self.v_edge.astype(np.int64) * n_svc
-                + self.svc_edge.astype(np.int64)
-            )
-            mixed = ((codes % n_svc).astype(np.uint64) + np.uint64(1)) * np.uint64(
-                0x9E3779B97F4A7C15
-            )
-            np.add.at(sig, codes // n_svc, mixed)
-        return counts, sig
-
     def propagate(self, finish_matrix: np.ndarray) -> np.ndarray:
         """Downstream ready times from a finish matrix (exact float ops)."""
         ready = np.zeros((self.n_req, self.width), dtype=np.float64)
@@ -391,189 +337,6 @@ def build_replay_plan(
     )
 
 
-class WarmStartCache:
-    """Cross-slot warm start: seed each slot's fixpoint from the
-    previous slot's converged per-node congestion.
-
-    After every committed slot the cache records, per node, the mean
-    observed admission delay (``start − ready``: queue wait plus
-    cold-start penalty), the invocation count, and a service-multiset
-    signature (:meth:`ReplayPlan.node_signature`).  The next slot seeds
-    its initial ready matrix with those per-node delay estimates —
-    **after an invalidation pass**: a node whose signature changed
-    (placement/routing moved work) or whose arrival count moved by more
-    than ``tolerance`` (relative) is reset to the congestion-free
-    estimate of zero, because its remembered congestion no longer
-    describes it.
-
-    Correctness does not depend on the estimate: the replay engines
-    still iterate to an exactly converged, tie-free fixpoint — the
-    unique causal schedule — and a warm attempt that fails to converge
-    is retried cold, so committed results (and declines) are
-    bit-identical to a cold replay.  Only the round count changes.
-
-    Whether the seed actually *saves* rounds is workload-dependent:
-    convergence is exact (``new_ready == ready`` bit-for-bit), so a
-    seed only collapses the iteration when it lands very close to the
-    fixpoint, and arrivals are redrawn every slot.  The cache therefore
-    measures itself.  Every ``probe_every``-th slot runs unseeded — a
-    *probe* whose round count is exactly the cold baseline, because the
-    committed bits (and therefore the carried pool/node state) are
-    identical either way — and only probe/unseeded rounds feed a
-    baseline EMA.  A seeded slot that fails to beat the EMA by at least
-    one round earns a *strike*; ``strike_limit`` consecutive strikes
-    set :attr:`suppressed` and stop further seeding, bounding the worst
-    case at a handful of probe windows while leaving the upside open on
-    traces whose congestion is stable enough to seed accurately.
-    """
-
-    def __init__(
-        self,
-        n_nodes: int,
-        tolerance: float = 0.25,
-        strike_limit: int = 3,
-        probe_every: int = 4,
-    ):
-        if n_nodes <= 0:
-            raise ValueError(f"n_nodes must be positive, got {n_nodes}")
-        if tolerance < 0:
-            raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-        if strike_limit <= 0:
-            raise ValueError(
-                f"strike_limit must be positive, got {strike_limit}"
-            )
-        if probe_every < 2:
-            raise ValueError(
-                f"probe_every must be >= 2, got {probe_every}"
-            )
-        self.n_nodes = int(n_nodes)
-        self.tolerance = float(tolerance)
-        self.strike_limit = int(strike_limit)
-        self.probe_every = int(probe_every)
-        self._wait = np.zeros(self.n_nodes)
-        self._count = np.zeros(self.n_nodes, dtype=np.int64)
-        self._sig = np.zeros(self.n_nodes, dtype=np.uint64)
-        #: Whether at least one slot has been recorded.
-        self.primed = False
-        #: Telemetry of the most recent :meth:`initial_ready` call.
-        self.last_attempted = False
-        self.last_used = False
-        self.last_seeded_nodes = 0
-        self.last_invalidated_nodes = 0
-        #: Warm attempts that failed to converge and were retried cold.
-        self.declined = 0
-        #: Slots whose committed fixpoint ran from a warm seed.
-        self.warm_slots = 0
-        #: EMA of committed round counts (0.0 until the first slot).
-        self.ema_rounds = 0.0
-        #: Consecutive seeded slots that failed to beat the EMA.
-        self.strikes = 0
-        #: Set once ``strike_limit`` strikes accumulate; no further
-        #: seeds are offered (the cache keeps recording state).
-        self.suppressed = False
-        self._slot_i = 0
-
-    def initial_ready(self, plan: ReplayPlan) -> Optional[np.ndarray]:
-        """Warm seed for ``plan``'s fixpoint, or ``None`` when the cache
-        is unprimed, suppressed, probing the cold baseline this slot,
-        or invalidation zeroed every estimate."""
-        probe = self._slot_i % self.probe_every == 0
-        self.last_attempted = (
-            self.primed and not self.suppressed and not probe
-        )
-        self.last_used = False
-        self.last_seeded_nodes = 0
-        self.last_invalidated_nodes = 0
-        if not self.last_attempted:
-            return None
-        counts, sig = plan.node_signature()
-        n = min(counts.size, self.n_nodes)
-        counts, sig = counts[:n], sig[:n]
-        prev_c = self._count[:n]
-        stable = (
-            (prev_c > 0)
-            & (sig == self._sig[:n])
-            & (np.abs(counts - prev_c) <= self.tolerance * prev_c)
-        )
-        active = counts > 0
-        self.last_invalidated_nodes = int(np.count_nonzero(active & ~stable))
-        est = np.zeros(plan.n_nodes)
-        seeded = stable & active & (self._wait[:n] > 0.0)
-        est[:n][seeded] = self._wait[:n][seeded]
-        self.last_seeded_nodes = int(np.count_nonzero(seeded))
-        if self.last_seeded_nodes == 0:
-            return None
-        self.last_used = True
-        return plan.warm_initial_ready(est)
-
-    def update(
-        self,
-        plan: ReplayPlan,
-        wait_sum: np.ndarray,
-        counts: Optional[np.ndarray] = None,
-    ) -> None:
-        """Record a committed slot: per-node summed admission delays
-        (``wait_sum``, aligned with node ids) and the plan's signature."""
-        counts_plan, sig = plan.node_signature()
-        if counts is None:
-            counts = counts_plan
-        n = min(self.n_nodes, int(wait_sum.size))
-        self._wait[:] = 0.0
-        self._count[:] = 0
-        self._sig[:] = 0
-        self._wait[:n] = wait_sum[:n] / np.maximum(counts[:n], 1)
-        self._count[: min(self.n_nodes, counts.size)] = counts[: self.n_nodes]
-        self._sig[: min(self.n_nodes, sig.size)] = sig[: self.n_nodes]
-        self.primed = True
-
-    def note_rounds(self, rounds: int, seeded: bool) -> None:
-        """Fold a committed slot's round count into the self-measuring
-        gate.  Unseeded (probe) rounds update the cold-baseline EMA; a
-        seeded slot that beats the EMA by at least one round clears the
-        strike count, one that fails to earns a strike, and
-        :attr:`suppressed` latches at ``strike_limit``."""
-        rounds = int(rounds)
-        self._slot_i += 1
-        if seeded:
-            self.warm_slots += 1
-            if self.ema_rounds > 0.0:
-                if self.ema_rounds - rounds >= 1.0:
-                    self.strikes = 0
-                else:
-                    self.strikes += 1
-                    if self.strikes >= self.strike_limit:
-                        self.suppressed = True
-        else:
-            # probe / cold slot: the committed bits are seed-invariant,
-            # so this round count IS the cold counterfactual
-            self.ema_rounds = (
-                float(rounds)
-                if self.ema_rounds <= 0.0
-                else 0.5 * (self.ema_rounds + rounds)
-            )
-
-    def note_declined(self) -> None:
-        """A warm attempt failed to converge and was retried cold: the
-        whole seeded fixpoint was wasted, which is the worst outcome —
-        it both counts as a decline and earns a strike."""
-        self.declined += 1
-        self.last_used = False
-        self.strikes += 1
-        if self.strikes >= self.strike_limit:
-            self.suppressed = True
-
-
-def node_wait_sums(
-    plan: ReplayPlan, r_edge: np.ndarray, start_edge: np.ndarray
-) -> np.ndarray:
-    """Per-node summed admission delays from a converged flat replay."""
-    if not plan.n_edge:
-        return np.zeros(plan.n_nodes)
-    return np.bincount(
-        plan.v_edge, weights=start_edge - r_edge, minlength=plan.n_nodes
-    )
-
-
 def pool_penalties(
     plan: ReplayPlan,
     p_idx: np.ndarray,
@@ -624,7 +387,6 @@ def replay_slot(
     req: np.ndarray,
     at: np.ndarray,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    warm_start: Optional[WarmStartCache] = None,
 ) -> Optional[ReplayResult]:
     """Replay arrivals ``(req[i], at[i])`` in batch; ``None`` declines.
 
@@ -636,14 +398,6 @@ def replay_slot(
     caller must run the event loop instead.  The caller is responsible
     for input validation and for ensuring no fault injector or
     resilience policy is active.
-
-    ``warm_start`` optionally supplies a :class:`WarmStartCache`: the
-    fixpoint is seeded from the previous slot's converged per-node
-    congestion (fewer rounds, same committed bits) and the cache is
-    updated from this slot's converged state on commit.  A warm attempt
-    that fails to converge or lands on a tie is retried from the cold
-    congestion-free seed before declining, so decline decisions match
-    the cold path exactly.
     """
     req = np.asarray(req, dtype=np.int64)
     at = np.asarray(at, dtype=np.float64)
@@ -750,60 +504,33 @@ def replay_slot(
         busy_arr[v] = busy
         start_edge[sel] = starts
 
-    # Initialization: the congestion-free lower bound, or — when a
-    # primed warm-start cache supplies one — the previous slot's
-    # estimated congestion.  A warm attempt that fails (no convergence,
-    # or a tie in its fixpoint) falls back to the cold seed so decline
-    # decisions are exactly those of the cold path.
-    warm_seed = (
-        warm_start.initial_ready(plan) if warm_start is not None else None
-    )
-    seeds = [warm_seed, None] if warm_seed is not None else [None]
+    # Initialization: the congestion-free lower bound.
+    ready = plan.congestion_free_ready()
+    prev_r_edge: Optional[np.ndarray] = None
+    r_edge = np.zeros(n_edge)
+    rounds = 0
+    converged = False
+    while rounds < max_rounds:
+        rounds += 1
+        r_edge = ready[e_rows, e_cols]
+        if prev_r_edge is None:
+            changed_nodes = list(range(n_nodes))
+        else:
+            diff = r_edge != prev_r_edge
+            changed_nodes = (
+                np.unique(v_edge[diff]).tolist() if diff.any() else []
+            )
+        for v in changed_nodes:
+            _sim_node(v, r_edge)
+        prev_r_edge = r_edge
 
-    success = False
-    for attempt, seed in enumerate(seeds):
-        if attempt:
-            # cold retry: wipe the per-node state the warm attempt wrote
-            penalty[:] = 0.0
-            start_edge[:] = 0.0
-            busy_arr[:] = [0.0] * n_nodes
-            core_state[:] = [[0.0] * cores for _ in range(n_nodes)]
-            group_last_arr[:] = np.nan
-            n_cold_arr[:] = [0] * n_nodes
-            n_warm_arr[:] = [0] * n_nodes
-            tied_arr[:] = [False] * n_nodes
-        ready = plan.congestion_free_ready() if seed is None else seed
-
-        prev_r_edge: Optional[np.ndarray] = None
-        r_edge = np.zeros(n_edge)
-        rounds = 0
-        converged = False
-        while rounds < max_rounds:
-            rounds += 1
-            r_edge = ready[e_rows, e_cols]
-            if prev_r_edge is None:
-                changed_nodes = list(range(n_nodes))
-            else:
-                diff = r_edge != prev_r_edge
-                changed_nodes = (
-                    np.unique(v_edge[diff]).tolist() if diff.any() else []
-                )
-            for v in changed_nodes:
-                _sim_node(v, r_edge)
-            prev_r_edge = r_edge
-
-            finish_matrix = plan.finish_matrix(ready, start_edge)
-            new_ready = plan.propagate(finish_matrix)
-            if np.array_equal(new_ready, ready):
-                converged = True
-                break
-            ready = new_ready
-        if converged and not any(tied_arr):
-            success = True
+        finish_matrix = plan.finish_matrix(ready, start_edge)
+        new_ready = plan.propagate(finish_matrix)
+        if np.array_equal(new_ready, ready):
+            converged = True
             break
-        if seed is not None and warm_start is not None:
-            warm_start.note_declined()
-    if not success:
+        ready = new_ready
+    if not converged or any(tied_arr):
         # no convergence, or the fixpoint carries an exact same-node
         # ready tie: the event loop's seq-order tie-break is
         # authoritative
@@ -826,9 +553,6 @@ def replay_slot(
         free = core_state[v]
         for c in range(cores):
             nd.core_free[c] = free[c]
-    if warm_start is not None:
-        warm_start.update(plan, node_wait_sums(plan, r_edge, start_edge))
-        warm_start.note_rounds(rounds, seed is not None)
 
     return ReplayResult(
         request=req.copy(),
