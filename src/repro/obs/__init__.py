@@ -22,7 +22,6 @@ from repro.obs.tracer import (
     NullTracer,
     Span,
     Tracer,
-    activate_tracer,
     current_tracer,
     use_tracer,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
-    "activate_tracer",
     "current_tracer",
     "use_tracer",
     "SCHEMA_VERSION",

@@ -2,11 +2,10 @@
 
 A long online simulation (1M users, thousands of slots) needs a
 post-hoc answer to "what did the runtime look like around slot 1234?" —
-RSS, shared-memory arena utilization, worker-pool state, warm-start hit
-rate, fixpoint rounds.  :class:`FlightRecorder` keeps the last
-``capacity`` per-slot snapshots in a fixed-size ring (older snapshots
-are overwritten, ``dropped`` counts them), so memory stays flat no
-matter how long the run is.
+RSS, request counts, fixpoint rounds, phase times, autoscaler state.
+:class:`FlightRecorder` keeps the last ``capacity`` per-slot snapshots
+in a fixed-size ring (older snapshots are overwritten, ``dropped``
+counts them), so memory stays flat no matter how long the run is.
 
 Snapshots are plain dicts and export as ``snapshot`` records in the
 schema-2 trace file (see :mod:`repro.obs.export`); attach a recorder to
@@ -60,8 +59,8 @@ class FlightRecorder:
     def snapshot(self, slot: int, **fields) -> dict:
         """Record one snapshot for ``slot`` and return it.
 
-        ``fields`` are free-form numeric runtime gauges (arena bytes,
-        pool stats, warm-start hit rate, rounds …); ``rss_kb`` and the
+        ``fields`` are free-form numeric runtime gauges (request
+        counts, rounds, phase times …); ``rss_kb`` and the
         capture ``time`` (seconds since the recorder's creation) are
         added automatically.  The oldest snapshot is overwritten once
         the ring is full.

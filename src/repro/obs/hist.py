@@ -20,9 +20,9 @@ The property suite (``tests/test_obs_hist.py``) checks this against
 
 **Merge.**  Histograms with the same error bound merge by adding bucket
 counts — associative and commutative, mirroring
-:meth:`repro.obs.metrics.MetricsRegistry.merge` — so shard workers ship
-:meth:`StreamingHistogram.as_dict` payloads back with their slot result
-and the parent folds them in with :meth:`StreamingHistogram.merge`.
+:meth:`repro.obs.metrics.MetricsRegistry.merge` — so pool workers ship
+:meth:`StreamingHistogram.as_dict` payloads back with their result and
+the parent folds them in with :meth:`StreamingHistogram.merge`.
 Merged quantiles are identical to recording every sample in one
 process (bucket assignment is a pure function of the value).
 

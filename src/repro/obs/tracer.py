@@ -236,9 +236,8 @@ class Tracer:
         :meth:`repro.obs.metrics.MetricsRegistry.merge`); the worker's
         span forest is grafted under one synthetic root named after the
         worker so the merged tree keeps per-cell attribution.  When a
-        span is open, the synthetic root nests under it (so a shard
-        worker payload merged inside the ``replay`` span lands at
-        ``slot<t>/replay/shard<k>``); otherwise it becomes a new root.
+        span is open, the synthetic root nests under it; otherwise it
+        becomes a new root.
         """
         if not payload:
             return
@@ -279,17 +278,3 @@ def use_tracer(tracer: Union[Tracer, NullTracer]) -> Iterator[Union[Tracer, Null
         yield tracer
     finally:
         _CURRENT.reset(token)
-
-
-def activate_tracer(
-    tracer: Union[Tracer, NullTracer]
-) -> Union[Tracer, NullTracer]:
-    """Install ``tracer`` as the ambient tracer *unscoped*.
-
-    For worker processes that enable/disable tracing via control
-    messages (:class:`repro.utils.parallel.PipeWorkerPool`) rather than
-    a lexical ``with`` block — in-process code should always prefer
-    :func:`use_tracer`.  Returns the tracer for chaining.
-    """
-    _CURRENT.set(tracer)
-    return tracer

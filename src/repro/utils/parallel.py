@@ -26,11 +26,8 @@ execution for small inputs.
 from __future__ import annotations
 
 import os
-import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -114,533 +111,3 @@ def parallel_map(
 def serial_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """Plain list-comprehension map, provided for symmetry in ablations."""
     return [fn(item) for item in items]
-
-
-def _pipe_worker(conn, factory, ctor_args) -> None:
-    """Worker loop: construct one object, dispatch method calls on it.
-
-    Replies are ``("ok", result)`` or ``("err", message)``; the
-    ``"__stop__"`` sentinel ends the loop and the ``"__load__"``
-    command replaces the hosted object (``payload`` is ``(factory,
-    arg)``) so a persistent worker can be re-targeted across slots.
-    Runs until stopped so the object's state persists across calls —
-    the point of the pool.
-
-    Two telemetry control messages carry trace context across the
-    process boundary: ``"__trace__"`` installs a worker-local enabled
-    tracer named by the payload (or restores the no-op tracer when the
-    payload is falsy) as this process's ambient tracer — sent *before*
-    ``__load__`` so construction-time ``tracer.enabled`` gates see it —
-    and ``"__telemetry__"`` replies with the worker tracer's picklable
-    payload and swaps in a fresh tracer (``None`` while tracing is
-    off), so the parent can fold per-worker spans/counters back in with
-    :meth:`repro.obs.Tracer.merge_payload`.
-    """
-    import traceback
-
-    if factory is not None:
-        try:
-            obj = factory(*ctor_args)
-        except Exception:
-            conn.send(("err", traceback.format_exc()))
-            conn.close()
-            return
-        conn.send(("ok", None))
-    else:
-        obj = None
-    while True:
-        try:
-            method, arg = conn.recv()
-        except EOFError:
-            break
-        if method == "__stop__":
-            break
-        try:
-            if method == "__load__":
-                load_factory, load_arg = arg
-                obj = None  # drop the old object before building the new
-                obj = load_factory(load_arg)
-                result = None
-            elif method == "__trace__":
-                from repro.obs.tracer import NULL_TRACER, Tracer, activate_tracer
-
-                activate_tracer(Tracer(str(arg)) if arg else NULL_TRACER)
-                result = None
-            elif method == "__telemetry__":
-                from repro.obs.tracer import Tracer, activate_tracer, current_tracer
-
-                tracer = current_tracer()
-                if tracer.enabled:
-                    result = tracer.payload()
-                    activate_tracer(Tracer(tracer.name))
-                else:
-                    result = None
-            else:
-                result = getattr(obj, method)(arg)
-        except Exception:
-            conn.send(("err", traceback.format_exc()))
-        else:
-            conn.send(("ok", result))
-    conn.close()
-
-
-def _reap_pipe_pool(conns: list, procs: list) -> None:
-    """Stop and join a pipe pool's workers (GC / teardown safety net).
-
-    Module-level so a ``weakref.finalize`` can hold it without keeping
-    the pool object itself alive.  Idempotent: closed connections and
-    dead processes are skipped.
-    """
-    for conn in conns:
-        try:
-            conn.send(("__stop__", None))
-        except (BrokenPipeError, OSError, ValueError):
-            pass
-    for conn in conns:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-    for proc in procs:
-        try:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=1.0)
-        except (ValueError, AssertionError):  # pragma: no cover
-            pass
-
-
-class PipeWorkerPool:
-    """Persistent worker processes, each hosting one stateful object.
-
-    Unlike :func:`parallel_map` (stateless fan-out per call), this pool
-    keeps one process alive per object so expensive per-worker state —
-    e.g. a :class:`repro.runtime.shard.RegionShard`'s slice of a slot —
-    is built once and then driven through many small method calls over
-    a ``multiprocessing.Pipe``.  ``call_all`` dispatches one method to
-    every worker concurrently and gathers replies in worker order.
-
-    Prefers the ``fork`` start method (constructor arguments are
-    inherited copy-on-write rather than pickled); falls back to the
-    platform default where fork is unavailable.
-
-    Dispatch comes in two shapes: blocking :meth:`call_all`, and the
-    non-blocking :meth:`submit_all`/:meth:`join_all` pair that the
-    pipelined slot runtime uses to overlap coordinator-side work with
-    an in-flight batch (``call_all`` is literally a submit followed by
-    an immediate join).  At most one batch may be outstanding.
-
-    Teardown is reliable on every path: the context manager and
-    :meth:`close` stop workers explicitly, a failing :meth:`call_all`
-    drains the remaining replies and closes the pool before raising
-    (a raised task must not leave orphaned children), a close with a
-    submitted batch still in flight drains the pending replies before
-    stopping the workers (so a worker mid-reply never dies on a broken
-    pipe), and a ``weakref.finalize`` reaps the processes if the pool
-    is simply dropped.
-    """
-
-    def __init__(self, factory: Callable, ctor_args_list: Sequence[tuple]):
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            ctx = mp.get_context()
-        self._conns = []
-        self._procs = []
-        self._closed = False
-        self._pending = False
-        # registered before spawning: the finalizer closes over the
-        # live lists, so workers started before a mid-spawn failure are
-        # still reaped
-        self._finalizer = weakref.finalize(
-            self, _reap_pipe_pool, self._conns, self._procs
-        )
-        try:
-            for args in ctor_args_list:
-                parent, child = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_pipe_worker,
-                    args=(child, factory, args),
-                    daemon=True,
-                )
-                proc.start()
-                child.close()
-                self._conns.append(parent)
-                self._procs.append(proc)
-            if factory is not None:
-                for conn in self._conns:
-                    status, detail = conn.recv()
-                    if status != "ok":
-                        raise RuntimeError(
-                            f"pipe worker failed to start:\n{detail}"
-                        )
-        except BaseException:
-            self.close()
-            raise
-
-    @classmethod
-    def for_objects(
-        cls, factory: Callable, ctor_args_list: Sequence[tuple]
-    ) -> "PipeWorkerPool":
-        """One worker per constructor-argument tuple."""
-        return cls(factory, ctor_args_list)
-
-    @property
-    def n_workers(self) -> int:
-        return len(self._procs)
-
-    @property
-    def closed(self) -> bool:
-        """Whether the pool has been torn down."""
-        return self._closed
-
-    def call_all(self, method: str, args: Sequence) -> list:
-        """Invoke ``method(arg)`` on every worker's object concurrently.
-
-        A worker error (or a dead worker) raises ``RuntimeError`` *after*
-        every remaining reply has been drained and the pool closed, so an
-        exception never strands live child processes behind a caller that
-        skipped the context manager.
-        """
-        self.submit_all(method, args)
-        return self.join_all()
-
-    def submit_all(self, method: str, args: Sequence) -> None:
-        """Dispatch ``method(arg)`` to every worker without waiting.
-
-        The batch stays in flight until :meth:`join_all` collects the
-        replies; only one batch may be outstanding at a time.  A send
-        failure closes the pool before raising (same contract as
-        :meth:`call_all`).
-        """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if self._pending:
-            raise RuntimeError("a batch is already in flight")
-        if len(args) != len(self._conns):
-            raise ValueError(
-                f"expected {len(self._conns)} args, got {len(args)}"
-            )
-        try:
-            for conn, arg in zip(self._conns, args):
-                conn.send((method, arg))
-        except BaseException:
-            self._pending = True  # sends may have landed; drain on close
-            self.close()
-            raise
-        self._pending = True
-
-    def join_all(self) -> list:
-        """Collect the replies of the batch started by :meth:`submit_all`.
-
-        Blocks until every worker has replied, in worker order.  Error
-        semantics match :meth:`call_all`: a worker failure drains the
-        remaining replies, closes the pool, then raises ``RuntimeError``.
-        """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if not self._pending:
-            raise RuntimeError("no batch in flight")
-        self._pending = False
-        try:
-            failure: Optional[str] = None
-            results = []
-            for conn in self._conns:
-                try:
-                    status, payload = conn.recv()
-                except (EOFError, OSError):
-                    status, payload = "err", "worker exited unexpectedly"
-                if status != "ok":
-                    if failure is None:
-                        failure = str(payload)
-                    payload = None
-                results.append(payload)
-            if failure is not None:
-                raise RuntimeError(f"pipe worker call failed:\n{failure}")
-            return results
-        except BaseException:
-            self.close()
-            raise
-
-    @property
-    def pending(self) -> bool:
-        """Whether a submitted batch is awaiting :meth:`join_all`."""
-        return self._pending
-
-    def load_all(self, factory: Callable, args: Sequence) -> None:
-        """Replace every worker's hosted object: worker ``i`` runs
-        ``factory(args[i])``.  ``factory`` must be a module-level
-        callable (pickled by reference)."""
-        self.call_all("__load__", [(factory, a) for a in args])
-
-    def set_tracing(self, names: Optional[Sequence[str]]) -> None:
-        """Install (or remove) a worker-local tracer in every worker.
-
-        ``names[i]`` names worker ``i``'s tracer (e.g. ``"shard3"``);
-        pass ``None`` to restore the no-op tracer everywhere.  Send
-        *before* :meth:`load_all` so construction-time
-        ``tracer.enabled`` gates in the hosted object see the right
-        mode.  Callers should only send on state changes — a disabled
-        run must not pay per-slot control messages.
-        """
-        if names is None:
-            args: list = [None] * self.n_workers
-        else:
-            args = list(names)
-        self.call_all("__trace__", args)
-
-    def collect_telemetry(self) -> list:
-        """Drain every worker's tracer payload (``None`` when disabled).
-
-        Each payload is a :meth:`repro.obs.Tracer.payload` dict; the
-        worker swaps in a fresh tracer, so successive collections never
-        double-count.  Merge parent-side with
-        :meth:`repro.obs.Tracer.merge_payload`.
-        """
-        return self.call_all("__telemetry__", [None] * self.n_workers)
-
-    def close(self) -> None:
-        """Stop every worker and reap the processes (idempotent).
-
-        If a submitted batch is still in flight its replies are drained
-        first (bounded wait per worker) so no worker dies mid-``send``
-        on a broken pipe.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._pending:
-            self._pending = False
-            for conn in self._conns:
-                try:
-                    if conn.poll(5.0):
-                        conn.recv()
-                except (EOFError, OSError):  # pragma: no cover - dead worker
-                    pass
-        self._finalizer()
-
-    def __enter__(self) -> "PipeWorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class ShardWorkerPool(PipeWorkerPool):
-    """Long-lived slot-pinned workers with *replaceable* hosted objects.
-
-    The shm shard executor (:mod:`repro.runtime.shard`) keeps one worker
-    per region alive across an entire online trace: each slot the
-    coordinator publishes the slot's columnar state in a shared-memory
-    arena (:class:`ShmArena`) and re-targets the workers with
-    :meth:`~PipeWorkerPool.load_all`, whose per-worker payload is only
-    arena *references* (segment name, offsets, shapes) — no columnar
-    data crosses the pipe.  Workers attach to the arena once per
-    segment and keep their object alive between calls, so the per-slot
-    IPC cost is a handful of tiny control messages.
-    """
-
-    def __init__(self, n_workers: int):
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        super().__init__(None, [()] * n_workers)
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory arena
-# ---------------------------------------------------------------------------
-
-#: Allocation alignment inside an arena (cache-line sized so carved
-#: views never share a line across allocations).
-_ARENA_ALIGN = 64
-
-
-def shared_memory_available() -> bool:
-    """Whether POSIX shared memory actually works on this host.
-
-    Probes by creating (and immediately unlinking) a tiny segment —
-    containers without ``/dev/shm`` raise at creation time, which is
-    exactly the signal callers need to fall back to the serial
-    in-process arena.
-    """
-    try:
-        from multiprocessing import shared_memory
-
-        seg = shared_memory.SharedMemory(create=True, size=1)
-    except (ImportError, OSError, FileNotFoundError):
-        return False
-    try:
-        seg.close()
-        seg.unlink()
-    except OSError:  # pragma: no cover - probe cleanup best effort
-        pass
-    return True
-
-
-class ShmArena:
-    """Bump allocator over one shared-memory segment.
-
-    The coordinator creates an arena, ``put``s each shard's columnar
-    arrays into it (one memcpy, no pickling) and hands workers only the
-    tiny ``(offset, shape, dtype)`` references; workers :meth:`attach`
-    by segment name and materialize zero-copy NumPy views with
-    :meth:`view`.  Output regions reserved with :meth:`alloc` let
-    workers write per-region results in place.
-
-    Lifecycle is reference counted: every holder (coordinator, each
-    attached worker) balances its :meth:`attach`/constructor with
-    :meth:`close`; the creating side also owns the segment name and
-    unlinks it.  ``unlink`` is safe while mappings are live (POSIX
-    keeps the segment until the last close), and a close blocked by a
-    still-exported buffer degrades to a process-exit cleanup instead
-    of corrupting live views.
-
-    ``use_shm=False`` (or an unavailable ``/dev/shm``) selects the
-    serial in-process fallback: the same allocator over a private
-    buffer, valid only inside the creating process.
-    """
-
-    def __init__(self, nbytes: int, use_shm: bool = True):
-        if nbytes <= 0:
-            raise ValueError(f"nbytes must be positive, got {nbytes}")
-        self.nbytes = int(nbytes)
-        self._offset = 0
-        self._refs = 1
-        self._owner = True
-        self._shm = None
-        self._freed = False
-        if use_shm:
-            from multiprocessing import shared_memory
-
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=self.nbytes
-            )
-            self._buf = self._shm.buf
-            self.name: Optional[str] = self._shm.name
-        else:
-            self._buf = memoryview(bytearray(self.nbytes))
-            self.name = None
-
-    @classmethod
-    def attach(cls, name: str, nbytes: int) -> "ShmArena":
-        """Map an existing segment by name (non-owning handle)."""
-        from multiprocessing import shared_memory
-
-        arena = cls.__new__(cls)
-        arena.nbytes = int(nbytes)
-        arena._offset = 0
-        arena._refs = 1
-        arena._owner = False
-        arena._freed = False
-        arena._shm = shared_memory.SharedMemory(name=name)
-        arena._buf = arena._shm.buf
-        arena.name = name
-        return arena
-
-    @property
-    def is_shared(self) -> bool:
-        """True for a real shared-memory segment, False for the
-        in-process fallback buffer."""
-        return self._shm is not None
-
-    @property
-    def used(self) -> int:
-        """Bytes consumed by allocations so far (aligned)."""
-        return self._offset
-
-    def alloc(
-        self, shape, dtype
-    ) -> tuple[tuple[int, tuple, str], np.ndarray]:
-        """Carve an uninitialized array; returns ``(ref, view)``.
-
-        The ``ref`` is a picklable ``(offset, shape, dtype)`` triple any
-        attached handle can resolve with :meth:`view`.
-        """
-        dt = np.dtype(dtype)
-        if isinstance(shape, (int, np.integer)):
-            shape = (int(shape),)
-        else:
-            shape = tuple(int(s) for s in shape)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        size = count * dt.itemsize
-        offset = self._offset
-        end = offset + size
-        if end > self.nbytes:
-            raise MemoryError(
-                f"arena exhausted: need {size} bytes at {offset}, "
-                f"capacity {self.nbytes}"
-            )
-        self._offset = (end + _ARENA_ALIGN - 1) & ~(_ARENA_ALIGN - 1)
-        ref = (offset, shape, dt.str)
-        return ref, self.view(ref)
-
-    def put(self, arr: np.ndarray) -> tuple[int, tuple, str]:
-        """Copy ``arr`` into the arena; returns its reference."""
-        arr = np.ascontiguousarray(arr)
-        ref, view = self.alloc(arr.shape, arr.dtype)
-        view[...] = arr
-        return ref
-
-    def view(self, ref: tuple[int, tuple, str]) -> np.ndarray:
-        """Zero-copy array over the referenced arena range."""
-        offset, shape, dtype = ref
-        dt = np.dtype(dtype)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        return np.frombuffer(
-            self._buf, dtype=dt, count=count, offset=offset
-        ).reshape(shape)
-
-    def reset(self) -> None:
-        """Rewind the bump pointer — reuse the segment for a new slot."""
-        self._offset = 0
-
-    def acquire(self) -> "ShmArena":
-        """Add one reference (e.g. an executor context sharing a handle)."""
-        self._refs += 1
-        return self
-
-    def close(self) -> None:
-        """Drop one reference; the last one releases the segment.
-
-        The owning side unlinks the name first (always valid), then
-        unmaps; an unmap blocked by a surviving NumPy view is left to
-        process exit — the name is already gone, so nothing leaks in
-        ``/dev/shm``.
-        """
-        if self._freed:
-            return
-        self._refs -= 1
-        if self._refs > 0:
-            return
-        self._freed = True
-        if self._shm is None:
-            self._buf = None
-            return
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        try:
-            self._shm.close()
-        except BufferError:
-            # A NumPy view still exports the mapping.  The name is
-            # already unlinked (nothing leaks in /dev/shm); drop the
-            # handle's mmap/fd so garbage collection doesn't retry the
-            # close and spray ignored BufferErrors at interpreter exit.
-            try:  # pragma: no cover - private SharedMemory internals
-                self._shm._mmap = None
-                if getattr(self._shm, "_fd", -1) >= 0:
-                    os.close(self._shm._fd)
-                    self._shm._fd = -1
-            except Exception:
-                pass
-
-    def __enter__(self) -> "ShmArena":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

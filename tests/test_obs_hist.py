@@ -7,7 +7,7 @@ The histogram's contract, pinned property-based where it matters:
 * ``record_many`` is exactly ``record`` in a loop (same buckets, same
   exact stats);
 * merge is associative and commutative on the payload level, so shard
-  workers can fold in any order (the serial-vs-shm bit-identity story);
+  workers can fold in any order;
 * payloads round-trip through ``as_dict``/``from_dict`` (JSON-safe).
 """
 
