@@ -9,7 +9,7 @@ Not a paper figure — these quantify the repository's extensions
   time;
 * under node-failure injection the pipeline must keep producing
   feasible placements on the surviving nodes;
-* the fixpoint replay engine (``repro.runtime.replay``) must beat the
+* the fixpoint replay engine (``repro.runtime.shard``) must beat the
   discrete-event loop by ≥5× on the fig-10-shaped trace at 10k users
   while staying bit-identical — the paired before/after numbers are
   recorded in ``BENCH_online.json`` (methodology in EXPERIMENTS.md).
@@ -115,7 +115,7 @@ def test_online_failure_resilience(benchmark):
 
 
 # --------------------------------------------------------------------------
-# Trace-replay fast path (repro.runtime.replay)
+# Trace-replay fast path (repro.runtime.shard)
 # --------------------------------------------------------------------------
 
 #: Arrival rate (req/s) of the fig-10-shaped trace.  Constant across

@@ -1,4 +1,4 @@
-"""Paired sharded-vs-flat replay benchmark → ``BENCH_shard.json``.
+"""One-region vs region-sharded replay benchmark → ``BENCH_shard.json``.
 
 Run as a script (not under pytest-benchmark — every measurement needs a
 *fresh* subprocess, see below):
@@ -6,12 +6,11 @@ Run as a script (not under pytest-benchmark — every measurement needs a
     PYTHONPATH=src python benchmarks/bench_shard.py \
         --scales 100000 300000 1000000 --shards 4 --out BENCH_shard.json
 
-Two engines are measured: the flat reference
-(:func:`repro.runtime.replay.replay_slot`, ``ref``) and the in-process
-region-sharded engine (:func:`repro.runtime.shard.replay_slot_sharded`,
-``sharded``).  The 1M-user scale needs ~5 GB of memory per measurement
-child; where it is left out of ``--scales`` the 1M speedup criterion is
-recorded as ``null``.
+The one fixpoint engine is measured over two region maps: one region
+holding every node (:func:`repro.runtime.shard.replay_slot`, ``ref``)
+and ``--shards`` regions (:func:`repro.runtime.shard.replay_slot_sharded`,
+``sharded``).  Their wall-time ratio is recorded, not gated.  The
+1M-user scale needs ~5 GB of memory per measurement child.
 
 For each scale the parent builds the fig-10-shaped slot once — workload
 streamed through :func:`repro.workload.users.generate_request_windows`
@@ -32,16 +31,16 @@ then runs each (engine, repeat) in its own subprocess:
 * **bit-identity across processes** — every child prints a SHA-256
   digest over its committed outputs (finish/queueing/cold-start
   columns, pool last-used state, node core clocks); the parent asserts
-  the sharded digest equals the flat one at every scale.
+  the sharded digest equals the one-region digest at every scale.
 * **streaming-generation RSS** — a separate child iterates the window
   generator *without* accumulating and reports the RSS delta of the
   generation stage.  This is the tentpole's flat-memory claim: windows
   are bounded (default 100k requests), so the delta stays flat from
   100k to 1M users while a monolithic generator would grow 10×.
 
-The published JSON is schema ``bench-shard/3`` and is validated by
+The published JSON is schema ``bench-shard/4`` and is validated by
 ``tests/test_bench_shard_schema.py``; the CI smoke step re-checks
-sharded-vs-flat bit-identity at a small scale on every push.
+bit-identity with the event loop at a small scale on every push.
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ import sys
 import tempfile
 import time
 
-SCHEMA = "bench-shard/3"
-MILLION = 1_000_000
+SCHEMA = "bench-shard/4"
 RATE = 5.0  # arrivals per second: utilization ~0.05 at every scale
 WINDOW = 100_000
 
@@ -123,9 +121,8 @@ def worker_replay(args) -> None:
 
     from repro.runtime import ServerlessConfig
     from repro.runtime.cluster import SimulatedCluster
-    from repro.runtime.replay import replay_slot
     from repro.runtime.serverless import InstancePool
-    from repro.runtime.shard import RegionMap, replay_slot_sharded
+    from repro.runtime.shard import RegionMap, replay_slot, replay_slot_sharded
 
     net, inst, placement, at = _build_slot(args.n_users)
     routing = np.load(args.routing, allow_pickle=True).item()
@@ -141,7 +138,7 @@ def worker_replay(args) -> None:
             inst, placement, routing, pool, cluster.nodes, req, at
         )
         out["wall_s"] = time.perf_counter() - t0
-        assert result is not None, "flat replay declined"
+        assert result is not None, "one-region replay declined"
         out["rounds"] = result.rounds
     else:
         rmap = RegionMap.from_positions(net.positions, args.shards)
@@ -313,7 +310,7 @@ def run_publish(args) -> int:
     doc = {
         "schema": SCHEMA,
         "description": (
-            "Paired flat-vs-region-sharded slot replay on the fig-10 "
+            "Paired one-region vs region-sharded slot replay on the fig-10 "
             "slot (stadium_topology(16), eshop app, streamed workload "
             f"windows of {WINDOW}, data_scale=5.0, full placement with "
             f"optimal routing, arrivals uniform at {RATE} req/s, "
@@ -345,14 +342,8 @@ def run_publish(args) -> int:
         },
         "scales": scales,
         "criteria": {
+            # one-region over sharded wall time: recorded, not gated
             "speedup_at_largest_scale": largest["speedup"],
-            # the >= 3x claim is made at 1M users; null when that scale
-            # was not run
-            "speedup_ge_3x": (
-                largest["speedup"] >= 3.0
-                if largest["n_users"] >= MILLION
-                else None
-            ),
             "all_identical": all(s["identical"] for s in scales),
             "gen_rss_largest_mb": largest["generation"]["peak_rss_mb"],
             "gen_rss_smallest_mb": smallest["generation"]["peak_rss_mb"],
@@ -367,11 +358,7 @@ def run_publish(args) -> int:
         fh.write("\n")
     print(f"wrote {args.out}")
     crit = doc["criteria"]
-    ok = (
-        crit["speedup_ge_3x"] is not False
-        and crit["all_identical"]
-        and crit["gen_rss_within_2x"]
-    )
+    ok = crit["all_identical"] and crit["gen_rss_within_2x"]
     print(f"criteria: {json.dumps(crit)}")
     return 0 if ok else 1
 

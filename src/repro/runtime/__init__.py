@@ -9,12 +9,13 @@ a discrete-event simulation:
 * :mod:`repro.runtime.serverless` — cold/warm instance lifecycle with
   keep-alive expiry (the "warm instances in the nearby area" the paper's
   storage planning enables);
-* :mod:`repro.runtime.replay` — vectorized fault-free slot replay,
-  bit-identical to the event loop (the online trace hot path);
-* :mod:`repro.runtime.shard` — region-sharded replay at 1M-user scale:
-  per-region state isolated into ``RegionShard`` objects, cross-region
-  chain hops reconciled with bounded exchange rounds, bit-identical to
-  the flat replay;
+* :mod:`repro.runtime.replay` — the slot plan and columnar result of
+  the vectorized fault-free replay;
+* :mod:`repro.runtime.shard` — the fixpoint replay engine (the online
+  trace hot path), bit-identical to the event loop: per-region state
+  isolated into ``RegionShard`` objects, cross-region chain hops
+  reconciled with bounded exchange rounds; ``replay_slot`` runs it as
+  one region;
 * :mod:`repro.runtime.cluster` — edge nodes with FIFO compute queues,
   network transfers over the substrate topology, a master that dispatches
   requests along their routed chains and records latency;
@@ -39,12 +40,13 @@ The full runtime model is documented in ``docs/RUNTIME.md``.
 from repro.runtime.events import EventQueue, Event
 from repro.runtime.serverless import InstancePool, InstanceState, ServerlessConfig
 from repro.runtime.cluster import SimulatedCluster, RequestOutcome
-from repro.runtime.replay import ReplayResult, replay_slot
+from repro.runtime.replay import ReplayResult
 from repro.runtime.shard import (
     RegionMap,
     RegionShard,
     ShardStats,
     ShardedReplayResult,
+    replay_slot,
     replay_slot_sharded,
 )
 from repro.runtime.autoscale import (

