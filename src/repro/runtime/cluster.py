@@ -45,7 +45,7 @@ from repro.runtime.shard import replay_slot
 from repro.utils.validation import check_positive
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestOutcome:
     """Completion record of one dispatched request.
 
@@ -74,7 +74,7 @@ class RequestOutcome:
     @property
     def done(self) -> bool:
         """True once the request completed end to end."""
-        return not np.isnan(self.finish)
+        return self.finish == self.finish  # NaN != NaN
 
 
 class _Node:
@@ -91,12 +91,74 @@ class _Node:
     def enqueue(self, now: float, work_gflop: float) -> tuple[float, float]:
         """Admit ``work_gflop`` at ``now``; returns (finish_time, queue_wait)."""
         service_time = work_gflop / self.compute
-        core = int(np.argmin(self.core_free))
-        start = max(now, self.core_free[core])
+        core_free = self.core_free
+        free = min(core_free)
+        core = core_free.index(free)  # ties go to the first core
+        start = free if free > now else now
         finish = start + service_time
-        self.core_free[core] = finish
+        core_free[core] = finish
         self.busy_time += service_time
         return finish, start - now
+
+
+class _HopTable:
+    """One slot's routed hops and their base transfer times, as lists.
+
+    Built on the first :meth:`SimulatedCluster.submit`, so slots the
+    fixpoint replays never pay for it.  The per-position tables are
+    flat, ``width`` cells per row: request ``h``'s routed row starts at
+    ``h * width``, and a hedge appends a re-routed row at the end.  At
+    ``row + pos``, ``nodes`` holds the routed node of chain position
+    ``pos``, ``chains`` its service, and ``legs`` the transfer time of
+    the leg leaving it — to the next position, or home from the last
+    one.  ``upload[h]`` is the leg from home to the first position.
+    Each time is the IEEE product ``bytes * inv_rate[u, v]`` the
+    per-hop scalar code formed; the event loop multiplies a degraded
+    link's factor on top, leg by leg.
+    """
+
+    __slots__ = (
+        "width", "nodes", "chains", "legs", "upload", "lengths", "homes",
+        "deadlines", "compute", "inv_rate", "provisioned", "link", "cloud",
+        "cloud_compute",
+    )
+
+    def __init__(
+        self,
+        instance: ProblemInstance,
+        placement: Placement,
+        routing: Routing,
+        faults: Optional[SlotFaults],
+    ):
+        nodes = routing.assignment
+        lengths = instance.chain_lengths
+        homes = instance.homes
+        inv = instance.inv_rate
+        n_req, width = nodes.shape
+        last = (np.arange(n_req), lengths - 1)
+        # destination and volume of the leg leaving each position; cells
+        # past a chain's end (node -1) price to 0 and are never read
+        dst = np.full_like(nodes, -1)
+        dst[:, :-1] = nodes[:, 1:]
+        dst[last] = homes
+        volume = np.zeros(nodes.shape)
+        volume[:, :-1] = instance.edge_data_matrix[:, : width - 1]
+        volume[last] = instance.data_out
+        legs = volume * inv[nodes, dst]
+        self.width = width
+        self.nodes = nodes.ravel().tolist()
+        self.chains = instance.chain_matrix.ravel().tolist()
+        self.legs = legs.ravel().tolist()
+        self.upload = (instance.data_in * inv[homes, nodes[:, 0]]).tolist()
+        self.lengths = lengths.tolist()
+        self.homes = homes.tolist()
+        self.deadlines = instance.deadlines.tolist()
+        self.compute = instance.service_compute.tolist()
+        self.inv_rate = inv.tolist()
+        self.provisioned = set(placement.pairs())
+        self.link = faults.link_factors if faults is not None else None
+        self.cloud = instance.cloud
+        self.cloud_compute = instance.config.cloud_compute
 
 
 class SimulatedCluster:
@@ -149,6 +211,7 @@ class SimulatedCluster:
         self._router: Optional[BatchRouter] = None
         self._hedged_routing: Optional[Routing] = None
         self._timeout_events: dict[int, Event] = {}
+        self._hops: Optional[_HopTable] = None
 
     # ------------------------------------------------------------------
     def submit(self, h: int, at: float) -> RequestOutcome:
@@ -159,11 +222,15 @@ class SimulatedCluster:
             )
         if at < 0:
             raise ValueError(f"arrival time must be non-negative, got {at}")
+        if self._hops is None:
+            self._hops = _HopTable(
+                self.instance, self.placement, self.routing, self.faults
+            )
         outcome = RequestOutcome(request=h, start=at)
         self.outcomes.append(outcome)
         self.queue.schedule_at(at, lambda q, h=h, o=outcome: self._begin(h, o))
         if self.policy is not None:
-            timeout = self.policy.timeout_for(float(self.instance.deadlines[h]))
+            timeout = self.policy.timeout_for(self._hops.deadlines[h])
             self._timeout_events[id(outcome)] = self.queue.schedule_at(
                 at + timeout, lambda q, o=outcome: self._timeout(o)
             )
@@ -194,76 +261,74 @@ class SimulatedCluster:
     def _begin(self, h: int, outcome: RequestOutcome) -> None:
         if outcome.status != "ok":
             return
-        inst = self.instance
-        req = inst.requests[h]
-        nodes = self.routing.nodes_for(h)
-        inv = inst.inv_rate
+        hops = self._hops
+        row = h * hops.width
         # upload leg
-        delay = req.data_in * inv[req.home, nodes[0]]
-        if self.faults is not None:
-            delay = delay * self.faults.link_factor(req.home, int(nodes[0]))
+        delay = hops.upload[h]
+        if hops.link is not None:
+            delay = delay * hops.link[hops.homes[h]][hops.nodes[row]]
         self.queue.schedule(
-            delay, lambda q, pos=0: self._process(h, outcome, nodes, pos)
+            delay, lambda q: self._process(h, outcome, row, 0)
         )
 
     def _process(
         self,
         h: int,
         outcome: RequestOutcome,
-        nodes: np.ndarray,
+        row: int,
         pos: int,
         attempt: int = 0,
     ) -> None:
         if outcome.status != "ok":
             return
-        inst = self.instance
-        req = inst.requests[h]
-        svc = req.chain[pos]
-        node = int(nodes[pos])
+        hops = self._hops
+        cell = row + pos
+        svc = hops.chains[cell]
+        node = hops.nodes[cell]
         now = self.queue.now
 
-        if node == inst.cloud:
+        if node == hops.cloud:
             # cloud executes without queueing at its large capacity
-            finish = now + inst.service_compute[svc] / inst.config.cloud_compute
+            finish = now + hops.compute[svc] / hops.cloud_compute
             wait = 0.0
             penalty = 0.0
         else:
             if self.faults is not None and self.faults.crashed(svc, node, now):
-                self._on_crash(h, outcome, nodes, pos, attempt, svc, node)
+                self._on_crash(h, outcome, row, pos, attempt, svc, node)
                 return
             penalty = (
                 self.pool.invoke(svc, node, now)
-                if self.placement.has(svc, node)
+                if (svc, node) in hops.provisioned
                 else 0.0
             )
             finish, wait = self.nodes[node].enqueue(
-                now + penalty, float(inst.service_compute[svc])
+                now + penalty, hops.compute[svc]
             )
         outcome.queueing += wait
         outcome.cold_start += penalty
 
         delay_done = finish - now
-        if pos + 1 < req.length:
-            transfer = req.edge_data[pos] * inst.inv_rate[node, int(nodes[pos + 1])]
-            if self.faults is not None:
-                transfer = transfer * self.faults.link_factor(node, int(nodes[pos + 1]))
+        transfer = hops.legs[cell]
+        nxt = pos + 1
+        if nxt < hops.lengths[h]:
+            if hops.link is not None:
+                transfer = transfer * hops.link[node][hops.nodes[cell + 1]]
             self.queue.schedule(
                 delay_done + transfer,
-                lambda q, p=pos + 1: self._process(h, outcome, nodes, p),
+                lambda q: self._process(h, outcome, row, nxt),
             )
         else:
-            ret = req.data_out * inst.inv_rate[node, req.home]
-            if self.faults is not None:
-                ret = ret * self.faults.link_factor(node, req.home)
+            if hops.link is not None:
+                transfer = transfer * hops.link[node][hops.homes[h]]
             self.queue.schedule(
-                delay_done + ret, lambda q: self._finish(outcome)
+                delay_done + transfer, lambda q: self._finish(outcome)
             )
 
     def _on_crash(
         self,
         h: int,
         outcome: RequestOutcome,
-        nodes: np.ndarray,
+        row: int,
         pos: int,
         attempt: int,
         svc: int,
@@ -279,19 +344,19 @@ class SimulatedCluster:
             outcome.retries += 1
             self.queue.schedule(
                 policy.backoff(attempt),
-                lambda q, a=attempt + 1: self._process(h, outcome, nodes, pos, a),
+                lambda q, a=attempt + 1: self._process(h, outcome, row, pos, a),
             )
             return
         if not policy.hedging:
             outcome.status = "failed"
             return
-        self._hedge(h, outcome, nodes, pos, svc, node)
+        self._hedge(h, outcome, row, pos, svc, node)
 
     def _hedge(
         self,
         h: int,
         outcome: RequestOutcome,
-        nodes: np.ndarray,
+        row: int,
         pos: int,
         svc: int,
         node: int,
@@ -304,7 +369,8 @@ class SimulatedCluster:
         the request resumes at its re-routed hop after paying the
         transfer from the crashed node to the surviving one.  When the
         service has no surviving edge instance the router falls back to
-        the cloud, which never crashes.
+        the cloud, which never crashes.  Only the legs of the re-routed
+        suffix are re-priced.
         """
         if self._router is None:
             self._live_placement = self.placement.copy()
@@ -316,18 +382,35 @@ class SimulatedCluster:
         elif self._hedged_routing is None:
             self._hedged_routing = self._router.route(self._live_placement)
         outcome.hedges += 1
-        req = self.instance.requests[h]
-        new_nodes = nodes.copy()
-        row = self._hedged_routing.assignment[h]
-        new_nodes[pos:] = row[pos : len(new_nodes)]
-        target = int(new_nodes[pos])
-        w_in = req.data_in if pos == 0 else req.edge_data[pos - 1]
-        transfer = w_in * self.instance.inv_rate[node, target]
-        if self.faults is not None:
-            transfer = transfer * self.faults.link_factor(node, target)
+        hops = self._hops
+        inst = self.instance
+        inv = hops.inv_rate
+        width = hops.width
+        length = hops.lengths[h]
+        # the re-routed row: the done prefix, then the hedged suffix
+        new_row = len(hops.nodes)
+        nodes = hops.nodes[row : row + pos] + (
+            self._hedged_routing.assignment[h, pos:].tolist()
+        )
+        edge_data = inst.edge_data_matrix[h].tolist()
+        legs = hops.legs[row : row + pos]
+        for p in range(pos, length - 1):
+            legs.append(edge_data[p] * inv[nodes[p]][nodes[p + 1]])
+        legs.append(
+            float(inst.data_out[h]) * inv[nodes[length - 1]][hops.homes[h]]
+        )
+        legs += [0.0] * (width - length)
+        hops.nodes += nodes
+        hops.legs += legs
+        hops.chains += hops.chains[h * width : (h + 1) * width]
+        target = nodes[pos]
+        w_in = float(inst.data_in[h]) if pos == 0 else edge_data[pos - 1]
+        transfer = w_in * inv[node][target]
+        if hops.link is not None:
+            transfer = transfer * hops.link[node][target]
         self.queue.schedule(
             transfer,
-            lambda q, n=new_nodes: self._process(h, outcome, n, pos, 0),
+            lambda q: self._process(h, outcome, new_row, pos, 0),
         )
 
     def _finish(self, outcome: RequestOutcome) -> None:

@@ -4,37 +4,51 @@ A binary-heap event queue with a monotonically increasing sequence
 number for stable FIFO ordering among simultaneous events — essential
 for reproducible simulations.  Callbacks receive the
 :class:`EventQueue`, so handlers can schedule follow-up events.
+
+The heap holds ``(time, seq, event)`` tuples.  ``seq`` is unique, so
+the heap orders entries by the two leading numbers alone and never
+compares the :class:`Event` objects themselves.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 EventCallback = Callable[["EventQueue"], None]
 
 
-@dataclass(order=True)
 class Event:
     """One scheduled event; ordering is (time, seq)."""
 
-    time: float
-    seq: int
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "seq", "callback", "cancelled")
+
+    def __init__(self, time: float, seq: int, callback: EventCallback):
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event cancelled; the queue skips it on pop."""
         self.cancelled = True
+
+    def __lt__(self, other: "Event") -> bool:
+        return (self.time, self.seq) < (other.time, other.seq)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"Event(time={self.time!r}, seq={self.seq!r}, "
+            f"cancelled={self.cancelled!r})"
+        )
 
 
 class EventQueue:
     """Deterministic event loop."""
 
     def __init__(self):
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -52,15 +66,17 @@ class EventQueue:
 
     @property
     def pending(self) -> int:
-        """Events still scheduled (including cancelled ones not yet popped)."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        """Live events still scheduled (cancelled ones are not counted)."""
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def schedule(self, delay: float, callback: EventCallback) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = Event(time=self._now + delay, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._heap, event)
+        time = self._now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, callback)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_at(self, time: float, callback: EventCallback) -> Event:
@@ -69,8 +85,9 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule into the past (time={time} < now={self._now})"
             )
-        event = Event(time=time, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, seq, callback)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def cancel(self, event: Event) -> None:
@@ -80,25 +97,29 @@ class EventQueue:
         half of a non-trivial heap is dead weight (e.g. per-request
         timeout guards that were cancelled on completion), the heap is
         rebuilt without the cancelled entries so long simulations don't
-        accumulate garbage.
+        accumulate garbage.  The rebuild rewrites the heap list in
+        place, so a :meth:`run` in progress keeps popping the live
+        entries.
         """
         if event.cancelled:
             return
         event.cancel()
         self._cancelled += 1
-        if self._cancelled > 64 and self._cancelled * 2 > len(self._heap):
-            self._heap = [e for e in self._heap if not e.cancelled]
-            heapq.heapify(self._heap)
+        heap = self._heap
+        if self._cancelled > 64 and self._cancelled * 2 > len(heap):
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapq.heapify(heap)
             self._cancelled = 0
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, event = heapq.heappop(heap)
             if event.cancelled:
                 self._cancelled = max(0, self._cancelled - 1)
                 continue
-            self._now = event.time
+            self._now = time
             event.callback(self)
             self._processed += 1
             return True
@@ -106,20 +127,32 @@ class EventQueue:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or the event
-        budget is exhausted."""
+        budget is exhausted.
+
+        The local ``heap`` alias stays valid because :meth:`cancel`
+        compacts the same list object in place.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        horizon = float("inf") if until is None else until
+        budget = float("inf") if max_events is None else max_events
         executed = 0
-        while self._heap:
-            nxt = self._heap[0]
-            if nxt.cancelled:
-                heapq.heappop(self._heap)
+        while heap:
+            entry = pop(heap)
+            event = entry[2]
+            if event.cancelled:
                 self._cancelled = max(0, self._cancelled - 1)
                 continue
-            if until is not None and nxt.time > until:
+            time = entry[0]
+            if time > horizon:
+                heapq.heappush(heap, entry)
                 self._now = until
                 return
-            self.step()
+            self._now = time
+            event.callback(self)
+            self._processed += 1
             executed += 1
-            if max_events is not None and executed >= max_events:
+            if executed >= budget:
                 raise RuntimeError(
                     f"event budget exhausted after {max_events} events at t={self._now}"
                 )

@@ -31,6 +31,7 @@ model, including these semantics, is documented in docs/RUNTIME.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -132,6 +133,17 @@ class SlotFaults:
             return 1.0
         key = (u, v) if u < v else (v, u)
         return self.config.link_slowdown if key in self.degraded_links else 1.0
+
+    @cached_property
+    def link_factors(self) -> list[list[float]]:
+        """:meth:`link_factor` for every pair of extended node indices.
+
+        ``link_factors[u][v] == link_factor(u, v)`` for ``u, v`` in
+        ``0..n_edge_nodes`` (the last index is the cloud), as nested
+        lists so the event loop prices a leg with one lookup.
+        """
+        ext = range(self.n_edge_nodes + 1)
+        return [[self.link_factor(u, v) for v in ext] for u in ext]
 
     def crashed(self, service: int, node: int, t: float) -> bool:
         """Is the ``(service, node)`` instance down at slot time ``t``?

@@ -422,25 +422,35 @@ class OnlineSimulator:
 
                 # -- observe -------------------------------------------
                 t0 = time.perf_counter()
+                n_retries = n_hedges = n_shed = n_timeouts = n_failed = 0
                 if replay_cols is not None:
                     latencies = replay_cols.latency
+                    obs_req = replay_cols.request
+                    obs_queue = replay_cols.queueing
                 else:
-                    latencies = np.array(
-                        [o.latency for o in outcomes if o.done]
-                    )
+                    # one pass over the event loop's outcomes
+                    done_latency: list = []
+                    done_request: list = []
+                    done_queueing: list = []
+                    for o in outcomes:
+                        n_retries += o.retries
+                        n_hedges += o.hedges
+                        status = o.status
+                        if status == "shed":
+                            n_shed += 1
+                        elif status == "timeout":
+                            n_timeouts += 1
+                        elif status == "failed":
+                            n_failed += 1
+                        if o.done:
+                            done_latency.append(o.latency)
+                            done_request.append(o.request)
+                            done_queueing.append(o.queueing)
+                    latencies = np.array(done_latency)
+                    obs_req = np.array(done_request, dtype=np.int64)
+                    obs_queue = np.array(done_queueing)
                 recorder.record_slot(latencies)
                 if autoscaling:
-                    if replay_cols is not None:
-                        obs_req = replay_cols.request
-                        obs_queue = replay_cols.queueing
-                    else:
-                        obs_req = np.array(
-                            [o.request for o in outcomes if o.done],
-                            dtype=np.int64,
-                        )
-                        obs_queue = np.array(
-                            [o.queueing for o in outcomes if o.done]
-                        )
                     self.autoscaler.observe(
                         instance,
                         routing,
@@ -449,17 +459,6 @@ class OnlineSimulator:
                         obs_queue,
                         self.slot_seconds,
                     )
-                n_retries = n_hedges = n_shed = n_timeouts = n_failed = 0
-                if resilient:
-                    for o in outcomes:
-                        n_retries += o.retries
-                        n_hedges += o.hedges
-                        if o.status == "shed":
-                            n_shed += 1
-                        elif o.status == "timeout":
-                            n_timeouts += 1
-                        elif o.status == "failed":
-                            n_failed += 1
                 t_observe = time.perf_counter() - t0
 
                 record = SlotRecord(

@@ -11,6 +11,7 @@ from repro.runtime import (
     SimulatedCluster,
     summarize_latencies,
 )
+from repro.runtime.cluster import _Node
 
 
 @pytest.fixture
@@ -121,6 +122,23 @@ class TestSimulatedCluster:
 
         assert np.array_equal(latencies(), latencies())
 
+    def test_hop_table_built_only_for_the_event_loop(
+        self, tiny_instance, solved_tiny
+    ):
+        placement, routing = solved_tiny
+        arrivals = [(h, 1000.0 * h) for h in range(tiny_instance.n_requests)]
+        fast = SimulatedCluster(tiny_instance, placement, routing)
+        fast.run(arrivals=arrivals)
+        assert fast._hops is None  # the fixpoint replayed the slot
+        loop = SimulatedCluster(
+            tiny_instance, placement, routing, fast_replay=False
+        )
+        loop.run(arrivals=arrivals)
+        assert loop._hops is not None
+        assert [o.finish for o in loop.outcomes] == [
+            o.finish for o in fast.outcomes
+        ]
+
 
 class TestMetrics:
     def test_summarize_empty(self):
@@ -171,6 +189,19 @@ class TestMetrics:
         s = summarize_latencies([2.5])
         assert s["count"] == 1
         assert s["mean"] == s["median"] == s["p95"] == s["max"] == 2.5
+
+
+class TestNode:
+    def test_ties_go_to_the_first_core(self):
+        node = _Node(0, compute=2.0, cores=3)
+        assert node.enqueue(0.0, 4.0) == (2.0, 0.0)
+        assert node.core_free == [2.0, 0.0, 0.0]
+        node.enqueue(0.0, 4.0)
+        node.enqueue(0.0, 4.0)
+        assert node.core_free == [2.0, 2.0, 2.0]
+        # all cores free at 2.0: the first one takes the next job
+        assert node.enqueue(1.0, 2.0) == (3.0, 1.0)
+        assert node.core_free == [3.0, 2.0, 2.0]
 
 
 class TestSubmitValidation:

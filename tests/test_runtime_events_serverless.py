@@ -100,6 +100,35 @@ class TestEventQueue:
         q.run()
         assert q.processed == 2
 
+    def test_pending_excludes_cancelled(self):
+        q = EventQueue()
+        events = [q.schedule(float(i), lambda _: None) for i in range(5)]
+        q.cancel(events[1])
+        events[3].cancel()
+        assert q.pending == 3
+
+    def test_compaction_during_run_keeps_live_events(self):
+        """Cancelling >64 guards from inside callbacks compacts the heap
+        while ``run`` is popping it; no live event may be lost."""
+        q = EventQueue()
+        log = []
+        guards = [
+            q.schedule(100.0 + i, lambda _, i=i: log.append(("guard", i)))
+            for i in range(100)
+        ]
+
+        def work(eq, i):
+            log.append(("work", i))
+            eq.cancel(guards[i])
+            if i + 1 < len(guards):
+                eq.schedule(1.0, lambda e, i=i + 1: work(e, i))
+
+        q.schedule(0.0, lambda e: work(e, 0))
+        q.run()
+        assert log == [("work", i) for i in range(100)]
+        assert q.processed == 100
+        assert q.pending == 0
+
 
 class TestInstancePool:
     def _pool(self, tiny_instance, pairs, **cfg):

@@ -8,13 +8,16 @@ online-simulator wiring (counters, determinism) and — most importantly
 runtime behaves exactly as it did before the resilience layer existed.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import SoCL
+from repro.core.online import OnlineSoCL
 from repro.microservices import eshop_application
 from repro.model import Placement, ProblemConfig, optimal_routing
-from repro.network import grid_topology
+from repro.network import grid_topology, stadium_topology
 from repro.runtime import (
     FaultConfig,
     FaultInjector,
@@ -149,6 +152,14 @@ class TestSlotFaults:
         f = self._faults(n=4, links=((0, 1), (2, 3)))
         assert f.link_factor(1, 1) == 1.0
         assert f.link_factor(0, 4) == 1.0  # index >= n_edge_nodes → cloud
+
+    def test_link_factor_table_matches_link_factor(self):
+        f = self._faults(n=4, links=((0, 1), (2, 3)))
+        table = f.link_factors
+        assert len(table) == 5  # four edge nodes plus the cloud
+        for u in range(5):
+            for v in range(5):
+                assert table[u][v] == f.link_factor(u, v)
 
     def test_crashed_window(self):
         f = self._faults(crashes={(1, 0): 5.0})
@@ -443,3 +454,108 @@ class TestBitIdentityWhenDisabled:
         for rec in base.slots:
             assert rec.n_retries == rec.n_hedges == 0
             assert rec.n_shed == rec.n_timeouts == rec.n_failed == 0
+
+
+class TestFaultPathGolden:
+    """Recorded per-request outcomes of the discrete-event loop.
+
+    The event loop is the oracle every fixpoint digest suite compares
+    against, so a change to the loop itself cannot be checked against
+    the loop.  These SHA-256 digests pin its per-request
+    ``(request, start, finish, queueing, cold_start, retries, hedges,
+    status)`` tuples on small seeded ``OnlineSimulator`` runs, one per
+    branch of the fault path, plus one congested fault-free run.  Each
+    scenario also asserts that the counter it is named for is non-zero,
+    so the pin really covers that branch.
+    """
+
+    GOLDEN = {
+        "retry_hedge": (
+            "6e1ff854ace965c09a0538d196aff7e2"
+            "6d38827dfd7bdf5fcd581bffdbf64fde"
+        ),
+        "timeout": (
+            "197b5b032549a166fb9fbecc442f5f99"
+            "52377ac4d7928b015943e478882db0db"
+        ),
+        "no_policy": (
+            "dd441d9d3f443d5d38cd40c5a6d2a8a1"
+            "d6ac2d6c2ff2f11da3fef1b6426a899a"
+        ),
+        "no_hedging": (
+            "4709f67c5b00d6f913532cf89a7738fb"
+            "95b4e6a72f4f1bff4ed5fb8ac05e3742"
+        ),
+        "congested": (
+            "918cefc4ceadee978dcd77456287274c"
+            "4f4bf5183f145cad831e8d3ff6770406"
+        ),
+    }
+
+    @staticmethod
+    def _run(monkeypatch, policy, deadline=np.inf, faults=True,
+             fast_replay=True, slot_seconds=300.0):
+        captured = []
+        run = SimulatedCluster.run
+
+        def capture(self, *args, **kwargs):
+            outcomes = run(self, *args, **kwargs)
+            captured.extend(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(SimulatedCluster, "run", capture)
+        sim = OnlineSimulator(
+            stadium_topology(8, seed=0),
+            eshop_application(),
+            ProblemConfig(weight=0.5, budget=6000.0, deadline=deadline),
+            WorkloadSpec(n_users=300, data_scale=5.0),
+            seed=1,
+            fast_replay=fast_replay,
+            slot_seconds=slot_seconds,
+        )
+        injector = (
+            FaultInjector(FaultConfig.at_intensity(0.4), seed=1)
+            if faults else None
+        )
+        sim.run(OnlineSoCL(), n_slots=6, faults=injector, resilience=policy)
+        h = hashlib.sha256()
+        for o in captured:
+            h.update(repr((
+                o.request, float(o.start).hex(), float(o.finish).hex(),
+                float(o.queueing).hex(), float(o.cold_start).hex(),
+                o.retries, o.hedges, o.status,
+            )).encode())
+        return captured, h.hexdigest()
+
+    def test_retries_and_hedges(self, monkeypatch):
+        outs, digest = self._run(monkeypatch, ResiliencePolicy())
+        assert sum(o.retries for o in outs) > 0
+        assert sum(o.hedges for o in outs) > 0
+        assert digest == self.GOLDEN["retry_hedge"]
+
+    def test_timeouts(self, monkeypatch):
+        outs, digest = self._run(
+            monkeypatch, ResiliencePolicy(timeout_factor=0.5), deadline=2.0
+        )
+        assert sum(o.status == "timeout" for o in outs) > 0
+        assert digest == self.GOLDEN["timeout"]
+
+    def test_no_policy_hard_failures(self, monkeypatch):
+        outs, digest = self._run(monkeypatch, None)
+        assert sum(o.status == "failed" for o in outs) > 0
+        assert digest == self.GOLDEN["no_policy"]
+
+    def test_no_hedging(self, monkeypatch):
+        outs, digest = self._run(monkeypatch, ResiliencePolicy(hedging=False))
+        assert sum(o.retries for o in outs) > 0
+        assert sum(o.status == "failed" for o in outs) > 0
+        assert sum(o.hedges for o in outs) == 0
+        assert digest == self.GOLDEN["no_hedging"]
+
+    def test_congested_fault_free_event_loop(self, monkeypatch):
+        outs, digest = self._run(
+            monkeypatch, None, faults=False, fast_replay=False,
+            slot_seconds=5.0,
+        )
+        assert sum(o.queueing for o in outs) > 0.0
+        assert digest == self.GOLDEN["congested"]
