@@ -67,11 +67,13 @@ _SERIAL_CANDIDATES = 3
 
 def dependency_conflict_pairs(instance: ProblemInstance) -> set[frozenset[int]]:
     """Unordered service pairs adjacent in at least one request chain."""
-    pairs: set[frozenset[int]] = set()
-    for req in instance.requests:
-        for a, b in req.edges:
-            pairs.add(frozenset((a, b)))
-    return pairs
+    chains = instance.chain_matrix
+    a, b = chains[:, :-1], chains[:, 1:]
+    edge = b >= 0
+    lo, hi = np.minimum(a, b)[edge], np.maximum(a, b)[edge]
+    S = instance.n_services
+    keys = np.unique(lo * S + hi)
+    return {frozenset((int(k // S), int(k % S))) for k in keys}
 
 
 class CombinationState:
@@ -389,17 +391,12 @@ class CombinationState:
 def latency_losses(
     state: CombinationState,
     tabu: Optional[set[tuple[int, int]]] = None,
-    n_jobs: int = 1,
 ) -> dict[tuple[int, int], float]:
     """Alg. 4: ζ for every removable instance (single-instance services
     and tabu entries skipped).
 
     Thanks to the per-service ζ-row cache only services whose host set
-    changed since the last sweep are recomputed.  ``n_jobs > 1``
-    evaluates the stale services across a thread pool — the "parallel"
-    in the paper's parallel local search.  The per-service kernels are
-    numpy-bound, so threads (not processes) are the right fan-out;
-    results are identical to the serial sweep.
+    changed since the last sweep are recomputed.
     """
     tabu = tabu or set()
     inst = state.instance
@@ -408,21 +405,11 @@ def latency_losses(
         for i in inst.requested_services
         if state._hosts(int(i)).size > 1
     ]
-    stale = [s for s in removable if s not in state._zeta_rows]
-    if stale:
-        if n_jobs == 1:
-            for s in stale:
-                state._zeta_row(s)
-        else:
-            from repro.utils.parallel import parallel_map
-
-            parallel_map(
-                state._zeta_row,
-                stale,
-                n_jobs=n_jobs,
-                min_items_per_worker=1,
-                use_threads=True,
-            )
+    # rebuild stale rows first so every row below is read as a cache hit
+    # (the zeta_cache_hits/rebuilds counters are reported per slot)
+    for s in removable:
+        if s not in state._zeta_rows:
+            state._zeta_row(s)
     out: dict[tuple[int, int], float] = {}
     for service in removable:
         for node, z in state._zeta_row(service).items():
@@ -607,7 +594,7 @@ def multi_scale_combination(
             state.cost() > budget
             and reg.get("parallel_rounds") < config.max_parallel_rounds
         ):
-            zetas = latency_losses(state, n_jobs=config.n_jobs)
+            zetas = latency_losses(state)
             if not zetas:
                 break
             n_pick = max(1, int(np.floor(config.omega * len(zetas))))
@@ -648,7 +635,7 @@ def multi_scale_combination(
     with tracer.span("serial_descent"):
         for _ in range(config.max_serial_iterations):
             forced = (not storage_ok) or (state.cost() > budget)
-            zetas = latency_losses(state, tabu, n_jobs=config.n_jobs)
+            zetas = latency_losses(state, tabu)
             if not zetas:
                 break
             q_before = state.objective("optimal")

@@ -19,7 +19,6 @@ Separates *algorithm* knobs from the *model* parameters carried by
   storage-aware planning mechanism); ``max_relocation_rounds`` bounds it.
 * ``routing`` — final routing engine: ``"optimal"`` per-request DP or
   the paper's ``"greedy"`` max-channel-speed reliance rule.
-* ``n_jobs`` — worker count for the parallel latency-loss sweep.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ class SoCLConfig:
     relocation: bool = True
     max_relocation_rounds: int = 8
     routing: str = "optimal"
-    n_jobs: int = 1
     max_serial_iterations: int = 10_000
     max_parallel_rounds: int = 1_000
 
@@ -65,8 +63,6 @@ class SoCLConfig:
             raise ValueError(
                 f"routing must be 'optimal' or 'greedy', got {self.routing!r}"
             )
-        if self.n_jobs < -1:
-            raise ValueError(f"n_jobs must be >= -1, got {self.n_jobs}")
         check_positive("max_serial_iterations", self.max_serial_iterations)
         check_positive("max_parallel_rounds", self.max_parallel_rounds)
         check_positive("max_relocation_rounds", self.max_relocation_rounds)

@@ -21,8 +21,7 @@ natural extension:
 3. above the threshold (or every ``full_resolve_every`` slots), fall
    back to a full SoCL solve;
 4. optionally **retain** still-useful previous instances that fit the
-   leftover budget/storage (hysteresis against churn), guided by a
-   demand :class:`~repro.workload.forecast.Forecaster`;
+   leftover budget/storage (hysteresis against churn);
 5. **route around recent failures**: the simulator reports instances
    that crashed during replay (:meth:`OnlineSoCL.note_failures`), and
    the next slot's routing steers affected requests away from those
@@ -58,7 +57,6 @@ from repro.model.placement import Placement
 from repro.model.routing import greedy_routing, optimal_routing, partial_reroute
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_probability
-from repro.workload.forecast import Forecaster
 
 
 def demand_shift(previous: np.ndarray, current: np.ndarray) -> float:
@@ -87,7 +85,6 @@ class OnlineSoCL:
         config: SoCLConfig = SoCLConfig(),
         shift_threshold: float = 0.5,
         full_resolve_every: Optional[int] = None,
-        forecaster: Optional[Forecaster] = None,
         retention: bool = False,
     ):
         if shift_threshold < 0:
@@ -101,7 +98,6 @@ class OnlineSoCL:
         self.config = config
         self.shift_threshold = float(shift_threshold)
         self.full_resolve_every = full_resolve_every
-        self.forecaster = forecaster
         self.retention = bool(retention)
         self._prev_preference: dict[tuple[int, int], int] = {}
         self._prev_placement: Optional[Placement] = None
@@ -383,9 +379,6 @@ class OnlineSoCL:
             redeployed = len(set(placement.pairs()) - prev_pairs)
         else:
             redeployed = placement.total_instances
-
-        if self.forecaster is not None:
-            self.forecaster.update(float(instance.n_requests))
 
         self._prev_placement = placement.copy()
         self._prev_demand = instance.demand_counts.copy()

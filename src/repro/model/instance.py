@@ -23,19 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.microservices.application import Application
 from repro.network.topology import EdgeNetwork
 from repro.utils.validation import check_positive, check_probability
-from repro.workload.requests import (
-    RequestBatch,
-    UserRequest,
-    data_demand_matrix,
-    demand_matrix,
-)
+from repro.workload.requests import RequestBatch, UserRequest
 
 #: Sentinel node index meaning "served from the cloud data center".
 #: Within an instance the cloud is materialized as node index ``n``.
@@ -104,16 +99,16 @@ class ProblemInstance:
             raise ValueError("instance must contain at least one request")
         self.network = network
         self.app = app
-        #: The workload: either a columnar
-        #: :class:`~repro.workload.requests.RequestBatch` (kept as-is for
-        #: vectorized precomputation) or a tuple of
-        #: :class:`UserRequest` objects.  Both are immutable sequences of
-        #: per-request views, so consumers index/iterate identically.
-        self.requests: Union[tuple[UserRequest, ...], RequestBatch]
-        if isinstance(requests, RequestBatch):
-            self.requests = requests
-        else:
-            self.requests = tuple(requests)
+        #: The workload as a columnar
+        #: :class:`~repro.workload.requests.RequestBatch`; any other
+        #: sequence of :class:`UserRequest` is converted once here.
+        #: Derived arrays read its columns; indexing or iterating it
+        #: yields per-request views.
+        self.requests: RequestBatch = (
+            requests
+            if isinstance(requests, RequestBatch)
+            else RequestBatch.from_requests(requests)
+        )
         self.config = config
         if deadlines is not None:
             arr = np.asarray(deadlines, dtype=np.float64)
@@ -129,24 +124,11 @@ class ProblemInstance:
         else:
             self._deadlines = None
 
-        n = network.n
-        if isinstance(self.requests, RequestBatch):
-            self._validate_batch(self.requests, n, app.n_services)
-        else:
-            for req in self.requests:
-                if not (0 <= req.home < n):
-                    raise IndexError(
-                        f"request {req.index} home {req.home} outside network of size {n}"
-                    )
-                for svc in req.chain:
-                    if not (0 <= svc < app.n_services):
-                        raise IndexError(
-                            f"request {req.index} references unknown service {svc}"
-                        )
+        self._validate_batch(self.requests, network.n, app.n_services)
 
     @staticmethod
     def _validate_batch(batch: RequestBatch, n: int, n_services: int) -> None:
-        """Vectorized home/service range checks; errors match the loop."""
+        """Home/service range checks, reporting the first bad request."""
         bad_home = (batch.homes < 0) | (batch.homes >= n)
         bad_svc = (batch.chains < 0) | (batch.chains >= n_services)
         if not (bad_home.any() or bad_svc.any()):
@@ -242,15 +224,11 @@ class ProblemInstance:
     @cached_property
     def homes(self) -> np.ndarray:
         """``f(u_h)`` home-server vector, shape ``(H,)``."""
-        if isinstance(self.requests, RequestBatch):
-            return self.requests.homes.copy()
-        return np.array([r.home for r in self.requests], dtype=np.int64)
+        return self.requests.homes.copy()
 
     @cached_property
     def chain_lengths(self) -> np.ndarray:
-        if isinstance(self.requests, RequestBatch):
-            return self.requests.lengths.copy()
-        return np.array([r.length for r in self.requests], dtype=np.int64)
+        return self.requests.lengths.copy()
 
     @cached_property
     def max_chain(self) -> int:
@@ -259,14 +237,7 @@ class ProblemInstance:
     @cached_property
     def chain_matrix(self) -> np.ndarray:
         """``(H, Lmax)`` padded service-index matrix; −1 = past chain end."""
-        if isinstance(self.requests, RequestBatch):
-            mat = self.requests.padded_chain_matrix()
-            mat.flags.writeable = False
-            return mat
-        H, L = self.n_requests, self.max_chain
-        mat = np.full((H, L), -1, dtype=np.int64)
-        for h, req in enumerate(self.requests):
-            mat[h, : req.length] = req.chain
+        mat = self.requests.padded_chain_matrix()
         mat.flags.writeable = False
         return mat
 
@@ -280,61 +251,41 @@ class ProblemInstance:
     @cached_property
     def edge_data_matrix(self) -> np.ndarray:
         """``(H, Lmax−1)`` per-edge data flows (0 past chain end)."""
-        if isinstance(self.requests, RequestBatch):
-            mat = self.requests.padded_edge_matrix()
-            mat.flags.writeable = False
-            return mat
-        H, L = self.n_requests, self.max_chain
-        mat = np.zeros((H, max(L - 1, 1)), dtype=np.float64)
-        for h, req in enumerate(self.requests):
-            if req.edge_data:
-                mat[h, : len(req.edge_data)] = req.edge_data
+        mat = self.requests.padded_edge_matrix()
         mat.flags.writeable = False
         return mat
 
     @cached_property
     def data_in(self) -> np.ndarray:
-        if isinstance(self.requests, RequestBatch):
-            return self.requests.data_in.copy()
-        return np.array([r.data_in for r in self.requests], dtype=np.float64)
+        return self.requests.data_in.copy()
 
     @cached_property
     def data_out(self) -> np.ndarray:
-        if isinstance(self.requests, RequestBatch):
-            return self.requests.data_out.copy()
-        return np.array([r.data_out for r in self.requests], dtype=np.float64)
+        return self.requests.data_out.copy()
 
     @cached_property
     def inflow_matrix(self) -> np.ndarray:
         """``(H, Lmax)`` data entering each chain position (star model's r)."""
         H, L = self.n_requests, self.max_chain
-        if isinstance(self.requests, RequestBatch):
-            batch = self.requests
-            mat = np.zeros((H, L), dtype=np.float64)
-            rows = np.repeat(np.arange(H), batch.lengths)
-            cols = np.arange(batch.chains.size) - np.repeat(
-                batch.chain_offsets[:-1], batch.lengths
-            )
-            mat[rows, cols] = batch.inflow_flat()
-            mat.flags.writeable = False
-            return mat
+        batch = self.requests
         mat = np.zeros((H, L), dtype=np.float64)
-        for h, req in enumerate(self.requests):
-            mat[h, 0] = req.data_in
-            for j, d in enumerate(req.edge_data):
-                mat[h, j + 1] = d
+        rows = np.repeat(np.arange(H), batch.lengths)
+        cols = np.arange(batch.chains.size) - np.repeat(
+            batch.chain_offsets[:-1], batch.lengths
+        )
+        mat[rows, cols] = batch.inflow_flat()
         mat.flags.writeable = False
         return mat
 
     @cached_property
     def demand_counts(self) -> np.ndarray:
         """``(S, N)`` counts ``|U^{m_i}_{v_k}|`` (Alg. 2 lines 1-3)."""
-        return demand_matrix(self.requests, self.n_services, self.n_servers)
+        return self.requests.demand_counts(self.n_services, self.n_servers)
 
     @cached_property
     def demand_data(self) -> np.ndarray:
         """``(S, N)`` inbound data volumes per service/home pair."""
-        return data_demand_matrix(self.requests, self.n_services, self.n_servers)
+        return self.requests.demand_data(self.n_services, self.n_servers)
 
     @cached_property
     def requested_services(self) -> np.ndarray:

@@ -148,10 +148,11 @@ class Routing:
             raise ValueError(
                 f"expected {H} assignment lists, got {len(per_request)}"
             )
+        lengths = instance.chain_lengths
         for h, nodes in enumerate(per_request):
-            if len(nodes) != instance.requests[h].length:
+            if len(nodes) != lengths[h]:
                 raise ValueError(
-                    f"request {h}: expected {instance.requests[h].length} nodes, "
+                    f"request {h}: expected {lengths[h]} nodes, "
                     f"got {len(nodes)}"
                 )
             a[h, : len(nodes)] = nodes
@@ -166,7 +167,7 @@ class Routing:
     def nodes_for(self, h: int) -> np.ndarray:
         """Assigned node sequence for request ``h`` (unpadded)."""
         check_index("h", h, self.instance.n_requests)
-        return self._a[h, : self.instance.requests[h].length].copy()
+        return self._a[h, : self.instance.chain_lengths[h]].copy()
 
     def uses_cloud(self) -> np.ndarray:
         """Boolean per request: does any position fall back to the cloud?"""

@@ -36,7 +36,7 @@ from repro.model.instance import ProblemInstance
 from repro.network.topology import EdgeNetwork, EdgeServer
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_probability
-from repro.workload.requests import UserRequest
+from repro.workload.requests import RequestBatch
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,9 @@ def degrade_instance(
 
     Links survive (radios keep relaying) so the topology stays connected;
     requests homed at a down node re-attach to the nearest live node by
-    virtual-link transfer time.  ``policy`` sets the degraded storage and
-    compute values (see :class:`DegradationPolicy`).
+    virtual-link transfer time.  The request set and its order are
+    unchanged, so per-request deadlines carry over.  ``policy`` sets the
+    degraded storage and compute values (see :class:`DegradationPolicy`).
     """
     down = {int(v) for v in down_nodes}
     for v in down:
@@ -147,27 +148,28 @@ def degrade_instance(
     ]
     degraded_net = EdgeNetwork(servers, network.links)
 
-    inv = network.paths.inv_rate
-    up_nodes = np.array(
-        [k for k in range(network.n) if k not in down], dtype=np.int64
-    )
-
-    def rehome(home: int) -> int:
-        if home not in down:
-            return home
-        return int(up_nodes[np.argmin(inv[home, up_nodes])])
-
-    requests = [
-        req
-        if req.home not in down
-        else UserRequest(
-            index=req.index,
-            home=rehome(req.home),
-            chain=req.chain,
-            data_in=req.data_in,
-            data_out=req.data_out,
-            edge_data=req.edge_data,
-        )
-        for req in instance.requests
+    # each down node maps to its nearest live node (first minimum on ties)
+    down_nodes = np.array(sorted(down), dtype=np.int64)
+    up_nodes = np.setdiff1d(np.arange(network.n), down_nodes)
+    nearest = np.arange(network.n)
+    nearest[down_nodes] = up_nodes[
+        np.argmin(network.paths.inv_rate[np.ix_(down_nodes, up_nodes)], axis=1)
     ]
-    return ProblemInstance(degraded_net, instance.app, requests, instance.config)
+    batch = instance.requests
+    requests = RequestBatch(
+        index=batch.index,
+        homes=nearest[batch.homes],
+        chains=batch.chains,
+        chain_offsets=batch.chain_offsets,
+        data_in=batch.data_in,
+        data_out=batch.data_out,
+        edge_data=batch.edge_data,
+        validate=False,  # only the homes changed, and they stay in range
+    )
+    return ProblemInstance(
+        degraded_net,
+        instance.app,
+        requests,
+        instance.config,
+        deadlines=instance._deadlines,
+    )

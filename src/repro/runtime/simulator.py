@@ -173,7 +173,8 @@ class OnlineSimulator:
         check_positive("shards", shards)
         #: With ``shards > 1`` every fault-free slot replays through the
         #: region-sharded engine (:mod:`repro.runtime.shard`), nodes
-        #: partitioned geographically by k-means over their positions.
+        #: cut into equal-size angular sectors around their centroid
+        #: (:meth:`~repro.runtime.shard.RegionMap.from_positions`).
         #: Results stay bit-identical to the one-region replay and the
         #: event loop; only the memory/scaling profile changes.
         self.shards = int(shards)

@@ -1,32 +1,20 @@
-"""Parallel fan-out helpers for SoCL's parallel local-search stage.
+"""Process-pool fan-out for independent experiment cells.
 
-The multi-scale combination module (paper Alg. 3, lines 1-5) evaluates the
-latency loss of many candidate instance merges *in parallel*.  The caller
-picks the worker count via ``n_jobs`` (``1`` — serial; ``>1`` — that many
-workers, capped at the CPU count; ``0``/``-1`` — all cores) and the pool
-flavor via ``use_threads``:
-
-* ``use_threads=False`` (default) — ``ProcessPoolExecutor``.  True
-  multi-core for CPU-bound Python work, but ``fn``/items must pickle and
-  each worker pays interpreter + import startup; only worth it when the
-  per-item work is substantial.
-* ``use_threads=True`` — ``ThreadPoolExecutor``.  Zero startup/pickling
-  cost and shared memory; the right choice when ``fn`` releases the GIL,
-  which numpy-bound kernels largely do.  The ζ sweep
-  (:func:`repro.core.combination.latency_losses`) uses this mode: its
-  per-service kernels mutate the shared :class:`CombinationState` cache,
-  which threads see directly and processes would silently drop.
-
-Following the HPC guides, we prefer vectorization first and only fan out
-when the per-item work is substantial; ``parallel_map`` therefore takes a
-``min_items_per_worker`` guard that silently falls back to serial
-execution for small inputs.
+The experiment harness and sweeps run many independent (scenario × seed
+× solver) cells.  The caller picks the worker count via ``n_jobs``
+(``1`` — serial; ``>1`` — that many workers, capped at the CPU count;
+``0``/``-1`` — all cores).  Workers are processes
+(``ProcessPoolExecutor``): true multi-core for CPU-bound Python work,
+but ``fn``/items must pickle and each worker pays interpreter + import
+startup, so fanning out only pays when the per-item work is substantial.
+``parallel_map`` therefore takes a ``min_items_per_worker`` guard that
+silently falls back to serial execution for small inputs.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -77,21 +65,16 @@ def parallel_map(
     items: Sequence[T],
     n_jobs: int = 1,
     min_items_per_worker: int = 8,
-    use_threads: bool = False,
     allow_oversubscribe: bool = False,
 ) -> list[R]:
-    """Map ``fn`` over ``items``, optionally across workers.
+    """Map ``fn`` over ``items``, optionally across worker processes.
 
-    Results preserve input order.  ``use_threads`` selects the pool
-    flavor (see the module docstring for the trade-off); the default is
-    processes.  Runs serially — no pool is created at all — when
-    ``n_jobs`` resolves to one worker **or** the input holds fewer than
-    ``min_items_per_worker * 2`` items, so tiny sweeps never pay pool
-    startup.  ``allow_oversubscribe`` forwards to
+    Results preserve input order.  Runs serially — no pool is created
+    at all — when ``n_jobs`` resolves to one worker **or** the input
+    holds fewer than ``min_items_per_worker * 2`` items, so tiny sweeps
+    never pay pool startup.  ``allow_oversubscribe`` forwards to
     :func:`effective_workers` and lets an explicit ``n_jobs`` exceed the
-    CPU count.  Callers whose ``fn`` has side effects (e.g. filling a
-    shared cache) must pass ``use_threads=True``: with processes the
-    mutation happens in the worker and is lost.
+    CPU count.  ``fn``'s side effects happen in the worker and are lost.
     """
     items = list(items)
     workers = effective_workers(n_jobs, allow_oversubscribe=allow_oversubscribe)
@@ -99,8 +82,7 @@ def parallel_map(
         return [fn(item) for item in items]
 
     chunks = chunk(items, workers * 4)
-    pool_cls = ThreadPoolExecutor if use_threads else ProcessPoolExecutor
-    with pool_cls(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_apply_chunk, fn, c) for c in chunks]
         results: list[R] = []
         for fut in futures:

@@ -96,10 +96,11 @@ class RequestBatch(SequenceABC):
     ``chain_offsets[h] - h`` (each request has ``length - 1`` edges).
 
     The batch is an immutable :class:`collections.abc.Sequence` of
-    :class:`UserRequest` **views**, created lazily and memoized, so all
-    existing per-request consumers (the event-loop cluster, tests,
-    serialization) keep working unchanged while columnar consumers read
-    the arrays directly.
+    :class:`UserRequest` **views**, created lazily and memoized, so the
+    per-request consumers (serialization, the order factor, the ILP
+    formulation, the reference routing kernel, the baselines that draw
+    per chain position) index and iterate it while columnar consumers
+    read the arrays directly.
     """
 
     __slots__ = (
@@ -264,61 +265,6 @@ class RequestBatch(SequenceABC):
             edge_data=np.concatenate([b.edge_data for b in batches]),
         )
 
-    def take(self, indices: np.ndarray) -> "RequestBatch":
-        """Gather a sub-batch of the given request positions, in order.
-
-        The slice-by-region helper behind sharded replay: callers pass
-        the positions whose ``homes`` fall in one region (e.g.
-        ``np.nonzero(region_of[batch.homes] == r)[0]``) and get a
-        self-contained columnar batch.  ``index`` keeps the original
-        values so provenance survives the slicing; duplicates are
-        allowed (a request may be replayed under several slots).
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim != 1:
-            raise ValueError(
-                f"take expects a 1-D index array, got shape {indices.shape}"
-            )
-        n = self.n_requests
-        if indices.size and (
-            int(indices.min()) < 0 or int(indices.max()) >= n
-        ):
-            raise IndexError(
-                f"take indices must lie in [0, {n}), got range "
-                f"[{int(indices.min())}, {int(indices.max())}]"
-            )
-        lens = self._lengths[indices]
-        offsets = np.zeros(indices.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        total = int(offsets[-1])
-        flat = (
-            np.arange(total)
-            + np.repeat(self.chain_offsets[indices] - offsets[:-1], lens)
-            if total
-            else np.empty(0, dtype=np.int64)
-        )
-        e_off = self.edge_offsets
-        e_lens = lens - 1
-        e_total = int(e_lens.sum())
-        e_cum = np.zeros(indices.size + 1, dtype=np.int64)
-        np.cumsum(e_lens, out=e_cum[1:])
-        e_flat = (
-            np.arange(e_total)
-            + np.repeat(e_off[indices] - e_cum[:-1], e_lens)
-            if e_total
-            else np.empty(0, dtype=np.int64)
-        )
-        return RequestBatch(
-            index=self.index[indices],
-            homes=self.homes[indices],
-            chains=self.chains[flat],
-            chain_offsets=offsets,
-            data_in=self.data_in[indices],
-            data_out=self.data_out[indices],
-            edge_data=self.edge_data[e_flat],
-            validate=False,
-        )
-
     # -- sizes ----------------------------------------------------------
     @property
     def n_requests(self) -> int:
@@ -455,8 +401,6 @@ def demand_matrix(
     Entry ``(i, k)`` is the number of requests homed at ``v_k`` whose
     chain contains ``m_i`` — the quantity Alg. 2 computes in lines 1-3.
     """
-    if isinstance(requests, RequestBatch):
-        return requests.demand_counts(n_services, n_servers)
     counts = np.zeros((n_services, n_servers), dtype=np.int64)
     for req in requests:
         for svc in req.chain:
@@ -473,8 +417,6 @@ def data_demand_matrix(
     entering ``m_i`` in each chain — the ``r_i`` weights used by the
     proactive factor (Def. 5) and instance contribution (Def. 7).
     """
-    if isinstance(requests, RequestBatch):
-        return requests.demand_data(n_services, n_servers)
     data = np.zeros((n_services, n_servers), dtype=np.float64)
     for req in requests:
         for svc in req.chain:

@@ -24,7 +24,6 @@ class TestSoCLConfig:
             {"theta": -0.1},
             {"min_degree": 0},
             {"routing": "teleport"},
-            {"n_jobs": -5},
             {"max_serial_iterations": 0},
             {"max_parallel_rounds": 0},
             {"max_relocation_rounds": 0},

@@ -1,14 +1,17 @@
 """Tests for repro.runtime.failures (outage schedule + degradation)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import SoCL
+from repro.core.online import OnlineSoCL
 from repro.microservices import eshop_application
 from repro.model import ProblemConfig, ProblemInstance
 from repro.network import stadium_topology
 from repro.runtime import OnlineSimulator, OutageSchedule, degrade_instance
-from repro.workload import WorkloadSpec, generate_requests
+from repro.workload import RequestBatch, WorkloadSpec, generate_requests
 
 
 @pytest.fixture
@@ -105,6 +108,30 @@ class TestDegradeInstance:
                 assert new.home == old.home
             assert new.chain == old.chain
 
+    def test_rehomed_to_nearest_live_node(self, instance):
+        down = {int(instance.homes[0]), 5, 6}
+        degraded = degrade_instance(instance, down)
+        inv = instance.network.paths.inv_rate
+        up = np.array([k for k in range(instance.n_servers) if k not in down])
+        for old, new in zip(instance.homes, degraded.homes):
+            want = old if old not in down else up[np.argmin(inv[old, up])]
+            assert new == want
+
+    def test_keeps_the_request_columns(self, instance):
+        degraded = degrade_instance(instance, {int(instance.homes[0])})
+        assert isinstance(degraded.requests, RequestBatch)
+        for name in ("index", "chains", "chain_offsets", "data_in",
+                     "data_out", "edge_data"):
+            assert np.array_equal(
+                getattr(degraded.requests, name),
+                getattr(instance.requests, name),
+            )
+
+    def test_per_request_deadlines_kept(self, instance):
+        deadlines = np.linspace(1.0, 5.0, instance.n_requests)
+        degraded = degrade_instance(instance.with_deadlines(deadlines), {0})
+        assert np.array_equal(degraded.deadlines, deadlines)
+
     def test_solver_avoids_down_nodes(self, instance):
         down = {0, 1}
         degraded = degrade_instance(instance, down)
@@ -158,3 +185,56 @@ class TestSimulatorWithOutages:
         # losing nodes restricts placement → delay cannot improve (allow
         # small noise)
         assert degraded.mean_delay >= healthy.mean_delay * 0.95
+
+
+class TestOutageGolden:
+    """Recorded outcomes of an online trace under node outages.
+
+    Pins the whole path from :func:`degrade_instance` through the solve
+    and the replay: every slot's objective, cost, mean/max latency, cold
+    starts and down-node count, plus the exact per-request latency
+    array, hashed with SHA-256 for ``SoCL`` and ``OnlineSoCL``.  The
+    online solver's shift threshold is raised so that slots 2-6 take the
+    incremental repair path rather than a full solve.
+    """
+
+    GOLDEN = {
+        "SoCL": (
+            "a93c35eca06e602a84d6ef49a065017d"
+            "1a7a3f5a06ab186358d718ca7e56db36"
+        ),
+        "OnlineSoCL": (
+            "851cb35dae0d4caaaf20a078fa291abc"
+            "ba41342c31941ad1e680d5f2bad42ea5"
+        ),
+    }
+
+    @staticmethod
+    def _digest(solver):
+        sim = OnlineSimulator(
+            stadium_topology(12, seed=0),
+            eshop_application(),
+            ProblemConfig(budget=6000.0),
+            WorkloadSpec(n_users=300, data_scale=5.0),
+            seed=1,
+        )
+        sched = OutageSchedule(12, fail_prob=0.3, seed=1)
+        res = sim.run(solver, n_slots=6, outages=sched)
+        h = hashlib.sha256()
+        for r in res.slots:
+            h.update(repr((
+                r.slot, r.n_requests, float(r.objective).hex(),
+                float(r.cost).hex(), float(r.mean_latency).hex(),
+                float(r.max_latency).hex(), r.cold_starts, r.n_down_nodes,
+            )).encode())
+        h.update(res.recorder.all_latencies().tobytes())
+        return res, h.hexdigest()
+
+    @pytest.mark.parametrize("name, solver", [
+        ("SoCL", SoCL),
+        ("OnlineSoCL", lambda: OnlineSoCL(shift_threshold=2.0)),
+    ])
+    def test_digest(self, name, solver):
+        res, digest = self._digest(solver())
+        assert any(r.n_down_nodes > 0 for r in res.slots)
+        assert digest == self.GOLDEN[name]

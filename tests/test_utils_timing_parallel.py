@@ -143,11 +143,6 @@ class TestParallelMap:
         # below the min_items_per_worker guard — must not spawn a pool
         assert parallel_map(_square, [2], n_jobs=4) == [4]
 
-    def test_thread_pool_preserves_order(self):
-        items = list(range(100))
-        out = parallel_map(_square, items, n_jobs=2, use_threads=True)
-        assert out == [x * x for x in items]
-
     def test_process_pool_preserves_order(self):
         items = list(range(64))
         out = parallel_map(_square, items, n_jobs=2)

@@ -231,51 +231,15 @@ class TestRequestBatchConcat:
             RequestBatch.concat([_manual_batch(), "nope"])
 
 
-class TestRequestBatchTake:
-    def test_take_unsorted_and_repeated_indices(self):
-        batch = _manual_batch()
-        sub = batch.take(np.array([2, 0, 2]))
-        assert sub.n_requests == 3
-        # `index` keeps the original values so provenance survives.
-        assert sub.index.tolist() == [2, 0, 2]
-        for out, src in zip(sub, (batch[2], batch[0], batch[2])):
-            assert out.chain == src.chain
-            assert out.edge_data == src.edge_data
-            assert out.home == src.home
-            assert out.data_in == src.data_in
-
-    def test_take_empty(self):
-        sub = _manual_batch().take(np.empty(0, dtype=np.int64))
-        assert sub.n_requests == 0
-        assert sub.chain_offsets.tolist() == [0]
-
-    def test_take_out_of_range_rejected(self):
-        batch = _manual_batch()
-        with pytest.raises(IndexError, match=r"\[0, 3\)"):
-            batch.take(np.array([3]))
-        with pytest.raises(IndexError):
-            batch.take(np.array([-1]))
-
-    def test_take_non_1d_rejected(self):
-        with pytest.raises(ValueError, match="1-D"):
-            _manual_batch().take(np.array([[0, 1]]))
-
-    def test_take_result_revalidates(self):
-        sub = _manual_batch().take(np.array([1, 0]))
-        assert np.array_equal(sub.lengths, [1, 3])
-        assert sub.edge_offsets.tolist() == [0, 0, 2]
-
-
 class TestRequestBatchDemand:
     def test_demand_matrices_match_per_request_loop(self, net, app):
         batch = generate_requests(net, app, WorkloadSpec(n_users=40), rng=7)
-        views = list(batch)  # plain list → module-level loop fallback
         S, N = app.n_services, net.n
         assert np.array_equal(
-            demand_matrix(batch, S, N), demand_matrix(views, S, N)
+            batch.demand_counts(S, N), demand_matrix(batch, S, N)
         )
         assert np.array_equal(
-            data_demand_matrix(batch, S, N), data_demand_matrix(views, S, N)
+            batch.demand_data(S, N), data_demand_matrix(batch, S, N)
         )
 
     def test_padded_matrices_match_views(self, net, app):

@@ -1,4 +1,4 @@
-"""Tests for batch concat/take and the streaming window generator."""
+"""Tests for batch concat and the streaming window generator."""
 
 import numpy as np
 import pytest
@@ -69,30 +69,6 @@ class TestConcat:
     def test_non_batch_rejected(self):
         with pytest.raises(TypeError):
             RequestBatch.concat([_manual_batch(), "nope"])
-
-
-class TestTake:
-    def test_gathers_rows(self):
-        b = _manual_batch()
-        sub = b.take(np.array([2, 0], dtype=np.int64))
-        assert sub.n_requests == 2
-        assert sub[0].chain == b[2].chain
-        assert sub[1].chain == b[0].chain
-        # original index values survive the gather
-        assert sub.index.tolist() == [2, 0]
-
-    def test_duplicates_allowed(self):
-        b = _manual_batch()
-        sub = b.take(np.array([1, 1, 1], dtype=np.int64))
-        assert sub.n_requests == 3
-        assert all(r.chain == b[1].chain for r in sub)
-
-    def test_out_of_range_rejected(self):
-        b = _manual_batch()
-        with pytest.raises(IndexError):
-            b.take(np.array([3], dtype=np.int64))
-        with pytest.raises(IndexError):
-            b.take(np.array([-1], dtype=np.int64))
 
 
 class TestWindows:
