@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.config import SoCLConfig
 from repro.core.partition import PartitionResult
-from repro.core.storage import storage_plan
+from repro.core.storage import StoragePlanOutcome, storage_plan
 from repro.model.cost import deployment_cost
 from repro.model.engine import BatchRouter
 from repro.model.instance import ProblemInstance
@@ -587,6 +587,16 @@ def multi_scale_combination(
     reg = MetricsRegistry()
     conflicts = dependency_conflict_pairs(instance)
     budget = instance.config.budget
+    # Eq. 4 cannot bind when every deadline is infinite (the default), so
+    # the roll-back checks then skip routing and scoring altogether.
+    deadline_bound = bool(np.isfinite(instance.deadlines).any())
+
+    def misses_deadline() -> bool:
+        """Eq. (4) under reliance routing for the current placement."""
+        if not deadline_bound:
+            return False
+        lat = total_latency(instance, state.routing())
+        return bool(np.any(lat > instance.deadlines + 1e-9))
 
     # ---------------- large-scale parallel descent ----------------
     with tracer.span("parallel_descent"):
@@ -632,41 +642,43 @@ def multi_scale_combination(
     # δ = Q' − Q'' + Θ, with deadline roll-back and storage planning.
     tabu: set[tuple[int, int]] = set()
     theta = config.theta
+    # Q of the placement an iteration starts from.  It is scored once:
+    # an accepted merge's q_after was scored on exactly the placement the
+    # next iteration starts from, and an iteration that keeps nothing
+    # leaves the placement (so its q_before) as it was.
+    q_before: Optional[float] = None
     with tracer.span("serial_descent"):
         for _ in range(config.max_serial_iterations):
             forced = (not storage_ok) or (state.cost() > budget)
             zetas = latency_losses(state, tabu)
             if not zetas:
                 break
-            q_before = state.objective("optimal")
+            if q_before is None:
+                q_before = state.objective("optimal")
             snapshot = state.placement.copy()
 
             candidates = sorted(zetas, key=zetas.get)[:_SERIAL_CANDIDATES]
             reg.inc("merges_proposed", len(candidates))
-            best: Optional[tuple[float, tuple[int, int], object]] = None
+            best: Optional[tuple[float, StoragePlanOutcome]] = None
             for service, node in candidates:
                 state.set_placement(snapshot)
                 state.remove(service, node)
                 plan = storage_plan(instance, state.placement, config)
                 state.set_placement(plan.placement)
                 # deadline check (Eq. 4) with roll-back
-                lat = total_latency(instance, state.routing())
-                if np.any(lat > instance.deadlines + 1e-9):
+                if misses_deadline():
                     tabu.add((service, node))
                     reg.inc("rollbacks")
                     continue
                 q_after = state.objective("optimal")
                 if best is None or q_after < best[0]:
-                    best = (q_after, (service, node), plan)
+                    best = (q_after, plan)
             if best is None:
                 state.set_placement(snapshot)
                 continue
 
-            q_after, (service, node), plan = best
-            # rebuild the chosen merge (the loop leaves the last candidate set)
-            state.set_placement(snapshot)
-            state.remove(service, node)
-            plan = storage_plan(instance, state.placement, config)
+            # keep the winner's planned placement as it was scored
+            q_after, plan = best
             state.set_placement(plan.placement)
 
             if forced:
@@ -677,6 +689,7 @@ def multi_scale_combination(
                 reg.inc("serial_merges")
                 reg.inc("merges_accepted")
                 reg.inc("forced_merges")
+                q_before = q_after
                 continue
 
             delta = q_before - q_after + theta
@@ -687,6 +700,7 @@ def multi_scale_combination(
             reg.inc("migrations", len(plan.migrations))
             reg.inc("serial_merges")
             reg.inc("merges_accepted")
+            q_before = q_after
 
     # ---------------- relocation polish ----------------
     if config.relocation:
@@ -695,8 +709,7 @@ def multi_scale_combination(
             reg.inc("relocations", relocation_pass(state, config))
             if reg.get("relocations"):
                 # deadline guard: relocations must not break Eq. (4)
-                lat = total_latency(instance, state.routing())
-                if np.any(lat > instance.deadlines + 1e-9):
+                if misses_deadline():
                     state.set_placement(snapshot)
                     reg.inc("relocations", -reg.get("relocations"))
 

@@ -6,15 +6,23 @@ storage capacity (Eq. 6).  The planner then:
 1. verifies global feasibility — if total remaining capacity cannot hold
    the current instance population, it signals the combination loop to
    keep merging (Alg. 5 line 17);
-2. computes the *local demand factor* ``ρ^{m_i}_{v_k}`` of every instance
-   with FuzzyAHP over four criteria: deployment cost ``κ``, storage
-   footprint ``φ``, requesting-user count ``|U^{m_i}_{v_k}|`` and the
-   chain-order factor ``R^{m_i}_{v_k} = (3·u_f + 2·u_l + u_m) /
-   |U^{m_i}_{v_k}|`` (first/last chain positions weigh more since they
-   pin the user's entry/exit latency);
-3. for every overloaded node, migrates the lowest-ρ instance to the
-   nearest node (highest channel speed) that lacks the service and has
-   spare storage, repeating until the node fits.
+2. for every overloaded node, ranks the instances on it by their *local
+   demand factor* ``ρ^{m_i}_{v_k}``, computed with FuzzyAHP over four
+   criteria: deployment cost ``κ``, storage footprint ``φ``,
+   requesting-user count ``|U^{m_i}_{v_k}|`` and the chain-order factor
+   ``R^{m_i}_{v_k} = (3·u_f + 2·u_l + u_m) / |U^{m_i}_{v_k}|``
+   (first/last chain positions weigh more since they pin the user's
+   entry/exit latency);
+3. migrates the lowest-ρ instance to the nearest node (highest channel
+   speed) that lacks the service and has spare storage, repeating until
+   the node fits.
+
+The paper defines ``R`` once per slot instance, and so does the code:
+it is :attr:`ProblemInstance.order_factor`, one vectorized pass in
+O(Σ chain length) cached on the instance, and the FuzzyAHP criterion
+weights are a constant computed once per process.  Both are read only
+when a victim is ranked, so a call that finds no overloaded node (most
+calls from the combination loop) costs a few storage-use products.
 
 The outcome reports success, the migrations performed, and — on global
 or local failure — the signal that more combination is needed.
@@ -22,7 +30,8 @@ or local failure — the signal that more combination is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -48,29 +57,34 @@ class StoragePlanOutcome:
     overloaded: tuple[int, ...]  # nodes that could not be repaired
 
 
+#: Storage slack of every Eq. 6 test: a node filled to its capacity up to
+#: rounding (say 0.1 + 0.2 against 0.3) fits.
+_SLACK = 1e-9
+
+
 def order_factor(instance: ProblemInstance) -> np.ndarray:
     """``(S, N)`` matrix of order factors ``R^{m_i}_{v_k}``.
 
-    ``R = (3·u_f + 2·u_l + u_m) / |U^{m_i}_{v_k}|`` with u_f/u_l/u_m the
-    counts of requests homed at ``v_k`` in which ``m_i`` appears first /
-    last / in the middle of the chain.  Zero where no demand exists.
+    Returns the instance's cached, read-only
+    :attr:`~repro.model.instance.ProblemInstance.order_factor`.
     """
-    S, N = instance.n_services, instance.n_servers
-    weighted = np.zeros((S, N), dtype=np.float64)
-    counts = instance.demand_counts
-    for req in instance.requests:
-        chain = req.chain
-        for pos, svc in enumerate(chain):
-            if len(chain) == 1 or pos == 0:
-                w = 3.0
-            elif pos == len(chain) - 1:
-                w = 2.0
-            else:
-                w = 1.0
-            weighted[svc, req.home] += w
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(counts > 0, weighted / np.maximum(counts, 1), 0.0)
-    return r
+    return instance.order_factor
+
+
+@cache
+def _criteria_weights() -> np.ndarray:
+    """FuzzyAHP weights of :data:`DEFAULT_CRITERIA_MATRIX` (read-only)."""
+    weights = fuzzy_ahp_weights(DEFAULT_CRITERIA_MATRIX)
+    weights.flags.writeable = False
+    return weights
+
+
+def _overloaded(instance: ProblemInstance, x: Placement) -> tuple[int, ...]:
+    """Nodes whose storage use exceeds capacity beyond rounding."""
+    used = storage_used(instance, x)
+    return tuple(
+        int(v) for v in np.nonzero(used > instance.server_storage + _SLACK)[0]
+    )
 
 
 def local_demand_factor(
@@ -90,9 +104,9 @@ def local_demand_factor(
     if services.size == 0:
         return {}
     if order is None:
-        order = order_factor(instance)
+        order = instance.order_factor
     if weights is None:
-        weights = fuzzy_ahp_weights(DEFAULT_CRITERIA_MATRIX)
+        weights = _criteria_weights()
     values = np.column_stack(
         [
             instance.service_cost[services],
@@ -129,27 +143,25 @@ def storage_plan(
             placement=x,
             success=False,
             migrations=(),
-            overloaded=tuple(int(v) for v in np.nonzero(storage_used(instance, x) > capacity)[0]),
+            overloaded=_overloaded(instance, x),
         )
 
-    order = order_factor(instance)
-    weights = fuzzy_ahp_weights(DEFAULT_CRITERIA_MATRIX)
     inv = instance.network.paths.inv_rate
     migrations: list[tuple[int, int, int]] = []
-    stuck: list[int] = []
 
-    overloaded = [
-        int(v)
-        for v in np.nonzero(storage_used(instance, x) > capacity + 1e-9)[0]
-    ]
-    for node in overloaded:
+    for node in _overloaded(instance, x):
+        # Targets ordered by channel speed from `node` (Alg. 5 line 11).
+        targets = sorted(
+            (q for q in range(instance.n_servers) if q != node),
+            key=lambda q: inv[node, q],
+        )
         guard = instance.n_services * instance.n_servers
-        while float(phi @ x.matrix[:, node]) > capacity[node] + 1e-9:
+        while float(phi @ x.matrix[:, node]) > capacity[node] + _SLACK:
             guard -= 1
             if guard < 0:  # pragma: no cover - defensive
                 raise RuntimeError("storage planning failed to converge")
             if config.storage_planning:
-                rho = local_demand_factor(instance, x, node, order, weights)
+                rho = local_demand_factor(instance, x, node)
                 if not rho:
                     break
                 victim = min(rho, key=rho.get)
@@ -159,30 +171,24 @@ def storage_plan(
                     break
                 victim = int(services[np.argmax(phi[services])])
 
-            # Targets ordered by channel speed from `node` (Alg. 5 line 11).
-            targets = sorted(
-                (q for q in range(instance.n_servers) if q != node),
-                key=lambda q: inv[node, q],
-            )
             moved = False
             for q in targets:
                 if x.has(victim, q):
                     continue
                 used_q = float(phi @ x.matrix[:, q])
-                if used_q + phi[victim] <= capacity[q] + 1e-9:
+                if used_q + phi[victim] <= capacity[q] + _SLACK:
                     x.remove(victim, node)
                     x.add(victim, q)
                     migrations.append((victim, node, int(q)))
                     moved = True
                     break
             if not moved:
-                stuck.append(node)
                 break
 
-    still_over = np.nonzero(storage_used(instance, x) > capacity + 1e-9)[0]
+    still_over = _overloaded(instance, x)
     return StoragePlanOutcome(
         placement=x,
-        success=still_over.size == 0,
+        success=not still_over,
         migrations=tuple(migrations),
-        overloaded=tuple(int(v) for v in still_over),
+        overloaded=still_over,
     )

@@ -288,6 +288,33 @@ class ProblemInstance:
         return self.requests.demand_data(self.n_services, self.n_servers)
 
     @cached_property
+    def order_factor(self) -> np.ndarray:
+        """``(S, N)`` chain-order factors ``R^{m_i}_{v_k}`` (Def. 9).
+
+        ``R = (3·u_f + 2·u_l + u_m) / |U^{m_i}_{v_k}|`` with u_f/u_l/u_m
+        the counts of requests homed at ``v_k`` in which ``m_i`` appears
+        first / last / in the middle of the chain (a 1-service chain
+        counts as first); zero where no demand exists.  One weighted
+        ``np.add.at`` over the flat chain column: the weights are small
+        integers, so the sums are exact in any order.
+        """
+        batch = self.requests
+        offsets = batch.chain_offsets
+        weights = np.ones(batch.chains.size, dtype=np.float64)
+        weights[offsets[1:] - 1] = 2.0
+        # written last: a 1-service chain's only position is its first
+        weights[offsets[:-1]] = 3.0
+        weighted = np.zeros((self.n_services, self.n_servers), dtype=np.float64)
+        np.add.at(
+            weighted, (batch.chains, np.repeat(batch.homes, batch.lengths)), weights
+        )
+        counts = self.demand_counts
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.where(counts > 0, weighted / np.maximum(counts, 1), 0.0)
+        r.flags.writeable = False
+        return r
+
+    @cached_property
     def requested_services(self) -> np.ndarray:
         """Sorted indices of services that appear in at least one chain."""
         return np.unique(self.chain_matrix[self.chain_matrix >= 0])

@@ -97,10 +97,10 @@ class RequestBatch(SequenceABC):
 
     The batch is an immutable :class:`collections.abc.Sequence` of
     :class:`UserRequest` **views**, created lazily and memoized, so the
-    per-request consumers (serialization, the order factor, the ILP
-    formulation, the reference routing kernel, the baselines that draw
-    per chain position) index and iterate it while columnar consumers
-    read the arrays directly.
+    per-request consumers (serialization, the ILP formulation, the
+    reference routing kernel, the baselines that draw per chain
+    position) index and iterate it while columnar consumers read the
+    arrays directly.
     """
 
     __slots__ = (

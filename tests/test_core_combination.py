@@ -1,5 +1,8 @@
 """Tests for repro.core.combination (Alg. 3/4 multi-scale combination)."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,11 @@ from repro.core import (
     preprovision,
 )
 from repro.core.combination import dependency_conflict_pairs, _filter_conflicts
-from repro.model import Placement
+from repro.experiments.scenarios import ScenarioParams, build_scenario
+from repro.model import Placement, ProblemInstance, optimal_routing
 from repro.model.cost import deployment_cost
+from repro.model.latency import total_latency
+from repro.network import EdgeNetwork
 
 
 @pytest.fixture
@@ -277,3 +283,126 @@ class TestReliancePreference:
         placement = Placement.from_pairs(inst, [(0, 1)])
         state = CombinationState(inst, partition, placement)
         assert state.reliance[0, 0] == 1
+
+
+class TestSerialDescentGolden:
+    """Recorded outcomes of ``multi_scale_combination`` on small instances.
+
+    ``tests/golden_results.json`` tolerates 1% drift, so it cannot see a
+    changed merge order.  These SHA-256 digests pin the final placement
+    matrix and every :class:`CombinationStats` field on seeded 6- and
+    8-server eshop instances whose storage is scaled down (so Alg. 5
+    migrates, or the population does not fit at all), whose deadline is
+    a multiple of the pre-provisioned worst case (so candidate merges
+    roll back), and whose λ is small enough for the gradient δ to stop
+    the descent.  Each case asserts the counters it is named for are
+    non-zero, so the pin covers forced merges, gradient merges,
+    rollbacks and storage migrations.
+    """
+
+    # (servers, budget, storage scale, seed, deadline factor, weight λ,
+    #  counters that must be non-zero)
+    CASES = {
+        "forced_and_gradient": (6, 6000.0, 0.8, 0, None, 0.5,
+                                ("forced", "gradient", "migrations")),
+        "forced_rollback": (8, 6000.0, 0.65, 0, 2.5, 0.5,
+                            ("forced", "rollbacks", "migrations")),
+        "forced_rollback_8k": (8, 8000.0, 0.65, 0, 2.5, 0.5,
+                               ("forced", "rollbacks", "migrations")),
+        "gradient_rollback": (8, 8000.0, 0.8, 0, 1.5, 0.5,
+                              ("gradient", "rollbacks", "migrations")),
+        "long_forced_run": (8, 8000.0, 0.65, 1, None, 0.5,
+                            ("forced", "gradient", "migrations")),
+        "small_forced_rollback": (6, 8000.0, 0.8, 1, 2.5, 0.5,
+                                  ("forced", "rollbacks", "migrations")),
+        "gradient_only": (8, 6000.0, 0.8, 0, 2.5, 0.5,
+                          ("gradient", "rollbacks", "migrations")),
+        "globally_infeasible": (6, 8000.0, 0.5, 1, None, 0.5, ("forced",)),
+        # latency-heavy λ: the gradient test δ ≤ 0 ends these descents
+        "gradient_stop": (8, 8000.0, 0.8, 0, 2.5, 0.02,
+                          ("gradient", "rollbacks", "migrations")),
+        "forced_then_gradient_stop": (8, 8000.0, 0.8, 1, None, 0.02,
+                                      ("forced", "gradient", "migrations")),
+    }
+
+    GOLDEN = {
+        "forced_and_gradient": (
+            "127080ecf7d8b0e3e23ebd46f63a1616"
+            "2d40acca97472160932777109587e9ee"
+        ),
+        "forced_rollback": (
+            "7b6a46b027434629165eead64988c76e"
+            "c4f237d2e99df3125879969deb56a3e9"
+        ),
+        "forced_rollback_8k": (
+            "105746cc2c7371c7b39b44266485e779"
+            "ffcdc566773347af0854cd3516e72b09"
+        ),
+        "globally_infeasible": (
+            "f9c624eb3cf99c87645bf42d9d5d7e6c"
+            "d7821c0f1877d93ceae505b4e3cf9680"
+        ),
+        "gradient_only": (
+            "e64a9e1349c9f3827418c630506738f5"
+            "d1b0fc9a44615fe5c8d2738395ac9260"
+        ),
+        "gradient_rollback": (
+            "a2316b7e9e3d26d2899226ee6e9f2365"
+            "5c0f9ad2ee09ce4fb24cbe62ef80904e"
+        ),
+        "long_forced_run": (
+            "45c66957f79a74660bc46ec42a600d50"
+            "78dff2acdecc1381d70309aee2a2b299"
+        ),
+        "small_forced_rollback": (
+            "6168124d82e9005a5596617753b78727"
+            "24da251806fafb920e1f369f9ebf57ba"
+        ),
+        "gradient_stop": (
+            "15b3e5a449cd010d37391241d4a6da0b"
+            "32c87b59d46ed9690d7eb490dccf26f7"
+        ),
+        "forced_then_gradient_stop": (
+            "9457247bd76dc6538b816168e6deb9a3"
+            "0fbaec3429ed539554431f29bd778439"
+        ),
+    }
+
+    @staticmethod
+    def _instance(n_servers, budget, scale, seed, deadline_factor, weight):
+        base = build_scenario(ScenarioParams(
+            n_servers=n_servers, n_users=40, budget=budget, seed=seed,
+            weight=weight,
+        ))
+        net = EdgeNetwork(
+            [replace(s, storage=s.storage * scale) for s in base.network.servers],
+            base.network.links,
+        )
+        inst = ProblemInstance(net, base.app, base.requests, base.config)
+        if deadline_factor is not None:
+            pre = preprovision(inst, initial_partition(inst))
+            worst = total_latency(inst, optimal_routing(inst, pre)).max()
+            inst = inst.with_config(deadline=float(worst * deadline_factor))
+        return inst
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digest(self, name):
+        *shape, counters = self.CASES[name]
+        inst = self._instance(*shape)
+        parts = initial_partition(inst)
+        pre = preprovision(inst, parts)
+        placement, stats = multi_scale_combination(inst, parts, pre)
+        d = stats.as_dict()
+        seen = {
+            "forced": d["forced_merges"],
+            "gradient": d["serial_merges"] - d["forced_merges"],
+            "rollbacks": d["rollbacks"],
+            "migrations": d["migrations"],
+        }
+        for counter in counters:
+            assert seen[counter] > 0, (name, counter, d)
+        h = hashlib.sha256()
+        h.update(repr(placement.matrix.shape).encode())
+        h.update(placement.matrix.astype(np.uint8).tobytes())
+        h.update(repr(sorted(d.items())).encode())
+        assert h.hexdigest() == self.GOLDEN[name]

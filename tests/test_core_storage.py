@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import SoCLConfig, storage_plan
 from repro.core.storage import local_demand_factor, order_factor
+from repro.microservices import Application, Microservice
 from repro.model import Placement, ProblemConfig, ProblemInstance
 from repro.model.constraints import check_storage
 from repro.network import EdgeNetwork, EdgeServer, Link
@@ -111,6 +112,38 @@ class TestStoragePlan:
         assert outcome.success
         # naive mode evicts the largest footprint first (service 2, φ=2)
         assert outcome.migrations[0][0] == 2
+
+    def test_rounding_full_node_not_reported_on_global_failure(self):
+        # φ = 0.1 + 0.2 on a 0.3 node sums to 0.30000000000000004: full up
+        # to rounding, which every overload test in the planner forgives.
+        # Node 1 is hopelessly over, so the global-infeasible branch runs
+        # and must report only node 1.
+        app = Application(
+            [
+                Microservice(0, "a", compute=1.0, storage=0.1, deploy_cost=100.0, data_out=1.0),
+                Microservice(1, "b", compute=1.0, storage=0.2, deploy_cost=100.0, data_out=1.0),
+                Microservice(2, "c", compute=1.0, storage=5.0, deploy_cost=100.0, data_out=1.0),
+            ],
+            [(0, 1), (1, 2)],
+            entrypoints=[0],
+        )
+        net = EdgeNetwork(
+            [
+                EdgeServer(0, compute=10.0, storage=0.3, position=(0, 0)),
+                EdgeServer(1, compute=10.0, storage=1.0, position=(1, 0)),
+            ],
+            [Link(0, 1, bandwidth=40.0, gain=3.0)],
+        )
+        inst = ProblemInstance(
+            net,
+            app,
+            [UserRequest(0, home=0, chain=(0, 1, 2), data_in=1.0, data_out=0.5, edge_data=(1.0, 1.0))],
+        )
+        p = Placement.from_pairs(inst, [(0, 0), (1, 0), (2, 1)])
+        outcome = storage_plan(inst, p)
+        assert not outcome.success
+        assert outcome.migrations == ()
+        assert outcome.overloaded == (1,)
 
     def test_input_not_mutated(self, cramped_instance):
         p = Placement.from_pairs(cramped_instance, [(0, 0), (1, 0), (2, 0)])

@@ -10,6 +10,7 @@ mixed chain widths, including 1-service chains that have no edges.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core.storage import order_factor
 from repro.microservices import Application, Microservice
 from repro.model import ProblemInstance
 from repro.network import grid_topology
@@ -135,3 +136,50 @@ def test_single_service_chains_have_one_zero_edge_column():
     _assert_identical(inst.chain_matrix, np.array([[2], [0]]))
     _assert_identical(inst.edge_data_matrix, np.zeros((2, 1)))
     _assert_identical(inst.inflow_matrix, np.array([[1.5], [2.0]]))
+
+
+def order_factor_loop(inst):
+    """Per-request reference for ``ProblemInstance.order_factor``."""
+    weighted = np.zeros((inst.n_services, inst.n_servers), dtype=np.float64)
+    for req in inst.requests:
+        chain = req.chain
+        for pos, svc in enumerate(chain):
+            if len(chain) == 1 or pos == 0:
+                w = 3.0
+            elif pos == len(chain) - 1:
+                w = 2.0
+            else:
+                w = 1.0
+            weighted[svc, req.home] += w
+    counts = inst.demand_counts
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(counts > 0, weighted / np.maximum(counts, 1), 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(workloads())
+def test_order_factor_matches_loop(workload):
+    net, app, reqs = workload
+    inst = ProblemInstance(net, app, reqs)
+    _assert_identical(inst.order_factor, order_factor_loop(inst))
+    assert not inst.order_factor.flags.writeable
+    assert order_factor(inst) is inst.order_factor
+
+
+def test_order_factor_single_service_chains_and_idle_homes():
+    net = grid_topology(1, 3, seed=0)
+    reqs = [
+        UserRequest(0, 0, (2,), 1.0, 1.0, ()),
+        UserRequest(1, 0, (2, 0, 1), 1.0, 1.0, (1.0, 1.0)),
+        UserRequest(2, 1, (0, 2), 1.0, 1.0, (1.0,)),
+        UserRequest(3, 1, (1,), 1.0, 1.0, ()),
+    ]
+    inst = ProblemInstance(net, _app(3), reqs)
+    r = inst.order_factor
+    _assert_identical(r, order_factor_loop(inst))
+    assert r[2, 0] == 3.0  # first in both chains homed at 0
+    assert r[0, 0] == 1.0  # middle
+    assert r[1, 0] == 2.0  # last
+    assert r[1, 1] == 3.0  # 1-service chain counts as first
+    assert r[2, 1] == 2.0
+    assert not r[:, 2].any()  # no request is homed at node 2
