@@ -9,6 +9,7 @@ from repro.microservices import Application, Microservice, eshop_application
 from repro.model import ProblemConfig, ProblemInstance
 from repro.network import EdgeNetwork, EdgeServer, Link, grid_topology
 from repro.workload import UserRequest, WorkloadSpec, generate_requests
+from tests.reference_requests import per_user_requests
 
 
 @pytest.fixture
@@ -80,6 +81,22 @@ def medium_instance(eshop_app) -> ProblemInstance:
     )
     return ProblemInstance(
         network, eshop_app, requests, ProblemConfig(weight=0.5, budget=6000.0)
+    )
+
+
+@pytest.fixture
+def per_user_stream(monkeypatch):
+    """Draw the simulator's and the scenarios' requests per user.
+
+    The engine golden digests were recorded on the per-user request
+    stream (``tests/reference_requests.py``); this keeps their inputs
+    fixed while the library samples from the chain catalog.
+    """
+    monkeypatch.setattr(
+        "repro.runtime.simulator.generate_requests", per_user_requests
+    )
+    monkeypatch.setattr(
+        "repro.experiments.scenarios.generate_requests", per_user_requests
     )
 
 

@@ -285,6 +285,7 @@ class TestReliancePreference:
         assert state.reliance[0, 0] == 1
 
 
+@pytest.mark.usefixtures("per_user_stream")
 class TestSerialDescentGolden:
     """Recorded outcomes of ``multi_scale_combination`` on small instances.
 
@@ -297,7 +298,9 @@ class TestSerialDescentGolden:
     roll back), and whose λ is small enough for the gradient δ to stop
     the descent.  Each case asserts the counters it is named for are
     non-zero, so the pin covers forced merges, gradient merges,
-    rollbacks and storage migrations.
+    rollbacks and storage migrations.  The instances draw their requests
+    from the frozen per-user stream (``per_user_stream``), so the pin is
+    on the combination, not on the request generator.
     """
 
     # (servers, budget, storage scale, seed, deadline factor, weight λ,

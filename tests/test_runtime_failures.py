@@ -187,6 +187,7 @@ class TestSimulatorWithOutages:
         assert degraded.mean_delay >= healthy.mean_delay * 0.95
 
 
+@pytest.mark.usefixtures("per_user_stream")
 class TestOutageGolden:
     """Recorded outcomes of an online trace under node outages.
 
@@ -195,7 +196,8 @@ class TestOutageGolden:
     starts and down-node count, plus the exact per-request latency
     array, hashed with SHA-256 for ``SoCL`` and ``OnlineSoCL``.  The
     online solver's shift threshold is raised so that slots 2-6 take the
-    incremental repair path rather than a full solve.
+    incremental repair path rather than a full solve.  Requests come
+    from the frozen per-user stream (``per_user_stream``).
     """
 
     GOLDEN = {

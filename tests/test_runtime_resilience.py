@@ -456,6 +456,7 @@ class TestBitIdentityWhenDisabled:
             assert rec.n_shed == rec.n_timeouts == rec.n_failed == 0
 
 
+@pytest.mark.usefixtures("per_user_stream")
 class TestFaultPathGolden:
     """Recorded per-request outcomes of the discrete-event loop.
 
@@ -466,7 +467,8 @@ class TestFaultPathGolden:
     status)`` tuples on small seeded ``OnlineSimulator`` runs, one per
     branch of the fault path, plus one congested fault-free run.  Each
     scenario also asserts that the counter it is named for is non-zero,
-    so the pin really covers that branch.
+    so the pin really covers that branch.  Requests come from the frozen
+    per-user stream (``per_user_stream``).
     """
 
     GOLDEN = {

@@ -568,6 +568,7 @@ class TestTelemetryBitIdentity:
             if name.startswith("runtime.shard.")
         }
 
+    @pytest.mark.usefixtures("per_user_stream")
     def test_serial_emits_shard_counters(self):
         tracer, _ = self._traced_replay()
         counters = self._shard_counters(tracer)
