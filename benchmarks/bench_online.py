@@ -31,7 +31,7 @@ from repro.runtime import (
     ServerlessConfig,
     SimulatedCluster,
 )
-from repro.workload import WorkloadSpec, generate_request_batch, generate_requests
+from repro.workload import WorkloadSpec, generate_requests
 
 
 def _slot_instances(n_slots: int, n_users: int = 40, seed: int = 0):
@@ -129,7 +129,7 @@ def _fig10_slot(n_users: int, rate: float = _REPLAY_RATE):
     net = stadium_topology(16, seed=0)
     app = eshop_application()
     spec = WorkloadSpec(n_users=n_users, data_scale=5.0)
-    batch = generate_request_batch(net, app, spec, rng=0)
+    batch = generate_requests(net, app, spec, rng=0)
     inst = ProblemInstance(net, app, batch, ProblemConfig(weight=0.5, budget=6000.0))
     placement = Placement.full(inst)
     routing = optimal_routing(inst, placement)

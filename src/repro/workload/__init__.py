@@ -17,7 +17,6 @@ from repro.workload.requests import (
 )
 from repro.workload.users import (
     WorkloadSpec,
-    generate_request_batch,
     generate_request_windows,
     generate_requests,
     place_users,
@@ -50,7 +49,6 @@ __all__ = [
     "requests_by_server",
     "services_in_requests",
     "generate_requests",
-    "generate_request_batch",
     "generate_request_windows",
     "place_users",
     "WorkloadSpec",

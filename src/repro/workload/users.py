@@ -5,8 +5,10 @@ paper distributes them around base stations near the National Stadium and
 samples their service chains from the eshopOnContainers dependency graph
 with stochastic dependencies.  :func:`generate_requests` reproduces this:
 spatially clustered home assignment (a small number of hot cells receive
-most users, matching the stadium scenario) and chain sampling via
-:func:`repro.microservices.chains.sample_chain`.
+most users, matching the stadium scenario) and chains drawn from the
+exact chain distribution of the biased dependency walk, computed once
+per call by :func:`repro.microservices.chains.chain_catalog` and sampled
+for all users in one draw (no walk per user).
 
 Data volumes follow §V.A: per-request upload/response sizes and per-edge
 flows derived from each microservice's ``data_out`` with multiplicative
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.microservices.application import Application
-from repro.microservices.chains import chain_catalog, sample_chain
+from repro.microservices.chains import chain_catalog
 from repro.network.topology import EdgeNetwork
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_probability
@@ -47,7 +49,8 @@ class WorkloadSpec:
     min_chain, max_chain:
         Chain length limits.
     data_in_range, data_out_range:
-        Uniform ranges (GB) for ``r_in^h`` and ``r_out^h``.
+        Uniform ranges ``(lo, hi)`` (GB) for ``r_in^h`` and ``r_out^h``;
+        finite, with ``0 <= lo <= hi``.
     edge_noise:
         Multiplicative jitter on per-edge data flows (±fraction).
     data_scale:
@@ -79,6 +82,12 @@ class WorkloadSpec:
             )
         check_probability("edge_noise", self.edge_noise)
         check_positive("data_scale", self.data_scale)
+        for name in ("data_in_range", "data_out_range"):
+            lo, hi = getattr(self, name)
+            if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi):
+                raise ValueError(
+                    f"{name} must be finite with 0 <= lo <= hi, got {(lo, hi)}"
+                )
 
 
 def place_users(
@@ -105,6 +114,29 @@ def place_users(
     return gen.choice(n, size=n_users, p=weights)
 
 
+def _homes(
+    network: EdgeNetwork,
+    spec: WorkloadSpec,
+    gen: np.random.Generator,
+    homes: Optional[Sequence[int]],
+) -> np.ndarray:
+    """``homes`` as an ``(n_users,)`` int array, placed by ``gen`` if None."""
+    if homes is None:
+        homes = place_users(
+            network,
+            spec.n_users,
+            gen,
+            hotspot_fraction=spec.hotspot_fraction,
+            hotspot_weight=spec.hotspot_weight,
+        )
+    homes = np.asarray(homes, dtype=np.int64)
+    if homes.shape != (spec.n_users,):
+        raise ValueError(
+            f"homes must have shape ({spec.n_users},), got {homes.shape}"
+        )
+    return homes
+
+
 def generate_requests(
     network: EdgeNetwork,
     app: Application,
@@ -118,103 +150,22 @@ def generate_requests(
     online simulator, which moves users between slots but keeps their
     service chains).
 
+    Every chain is drawn from the exact distribution of
+    :func:`repro.microservices.chains.sample_chain`, computed by
+    :func:`repro.microservices.chains.chain_catalog`, with one
+    ``Generator.choice`` over the catalog; edge noise, ``data_in`` and
+    ``data_out`` are then drawn as whole columns.  That is O(1) RNG calls
+    per workload.  The stream is seed-stable, but it is not bit-compatible
+    with the per-user walk earlier versions ran (one ``sample_chain`` and
+    its data draws per user): the same seed now gives a different
+    workload from the same distribution.
+
     Returns a columnar :class:`~repro.workload.requests.RequestBatch`
     (a sequence of :class:`UserRequest` views, so per-request consumers
-    are unaffected).  The RNG draw order is unchanged from the original
-    per-object generator, keeping every seeded workload bit-identical;
-    :func:`generate_request_batch` is the fully vectorized alternative
-    with a different (batched) stream for trace-scale workloads.
+    are unaffected).
     """
     gen = as_generator(rng)
-    if homes is None:
-        homes = place_users(
-            network,
-            spec.n_users,
-            gen,
-            hotspot_fraction=spec.hotspot_fraction,
-            hotspot_weight=spec.hotspot_weight,
-        )
-    homes = np.asarray(homes, dtype=np.int64)
-    if homes.shape != (spec.n_users,):
-        raise ValueError(
-            f"homes must have shape ({spec.n_users},), got {homes.shape}"
-        )
-
-    douts = [app.service(i).data_out for i in range(app.n_services)]
-    n = spec.n_users
-    chains_flat: list[int] = []
-    edge_flat: list[float] = []
-    offsets = np.empty(n + 1, dtype=np.int64)
-    offsets[0] = 0
-    data_in = np.empty(n, dtype=np.float64)
-    data_out = np.empty(n, dtype=np.float64)
-    for h in range(n):
-        chain = sample_chain(
-            app,
-            gen,
-            length_bias=spec.length_bias,
-            min_length=spec.min_chain,
-            max_length=spec.max_chain,
-        )
-        # Draw order matches the original per-object generator exactly:
-        # per-edge noise first, then data_in, then data_out.
-        for a in chain[:-1]:
-            edge_flat.append(
-                float(
-                    spec.data_scale
-                    * douts[a]
-                    * (1.0 + gen.uniform(-spec.edge_noise, spec.edge_noise))
-                )
-            )
-        chains_flat.extend(chain)
-        offsets[h + 1] = len(chains_flat)
-        data_in[h] = float(spec.data_scale * gen.uniform(*spec.data_in_range))
-        data_out[h] = float(spec.data_scale * gen.uniform(*spec.data_out_range))
-    return RequestBatch(
-        index=np.arange(n, dtype=np.int64),
-        homes=homes,
-        chains=np.array(chains_flat, dtype=np.int64),
-        chain_offsets=offsets,
-        data_in=data_in,
-        data_out=data_out,
-        edge_data=np.array(edge_flat, dtype=np.float64),
-        validate=False,
-    )
-
-
-def generate_request_batch(
-    network: EdgeNetwork,
-    app: Application,
-    spec: WorkloadSpec,
-    rng: SeedLike = None,
-    homes: Optional[Sequence[int]] = None,
-) -> RequestBatch:
-    """Fully vectorized trace-scale request generation (O(1) RNG calls).
-
-    Samples every user's chain from the exact chain distribution of
-    :func:`repro.microservices.chains.sample_chain` (computed once via
-    :func:`repro.microservices.chains.chain_catalog`) and draws all data
-    volumes in batch.  The marginal distribution of each request matches
-    :func:`generate_requests`, but the RNG *stream* differs — seeded
-    workloads are not bit-compatible between the two generators.  Use
-    this for 100k+-user benchmark traces where the sequential sampler's
-    per-user Python cost dominates.
-    """
-    gen = as_generator(rng)
-    if homes is None:
-        homes = place_users(
-            network,
-            spec.n_users,
-            gen,
-            hotspot_fraction=spec.hotspot_fraction,
-            hotspot_weight=spec.hotspot_weight,
-        )
-    homes = np.asarray(homes, dtype=np.int64)
-    if homes.shape != (spec.n_users,):
-        raise ValueError(
-            f"homes must have shape ({spec.n_users},), got {homes.shape}"
-        )
-
+    homes = _homes(network, spec, gen, homes)
     catalog, probs = chain_catalog(
         app,
         length_bias=spec.length_bias,
@@ -245,12 +196,8 @@ def generate_request_batch(
         -spec.edge_noise, spec.edge_noise, size=edge_services.size
     )
     edge_data = spec.data_scale * douts[edge_services] * (1.0 + noise)
-    data_in = spec.data_scale * gen.uniform(
-        *spec.data_in_range, size=n
-    )
-    data_out = spec.data_scale * gen.uniform(
-        *spec.data_out_range, size=n
-    )
+    data_in = spec.data_scale * gen.uniform(*spec.data_in_range, size=n)
+    data_out = spec.data_scale * gen.uniform(*spec.data_out_range, size=n)
     return RequestBatch(
         index=np.arange(n, dtype=np.int64),
         homes=homes,
@@ -283,42 +230,28 @@ def generate_request_windows(
     (hotspot cells must be consistent across the whole workload — an
     ``(n_users,)`` int array, 8 bytes/user, is the only full-size
     allocation); chain and data sampling then runs per window through
-    :func:`generate_request_batch` on independent spawned child
-    generators, so windows can be regenerated or distributed without
-    replaying predecessors.  The union of the windows is a valid
-    workload; reassemble with
-    :meth:`~repro.workload.requests.RequestBatch.concat`, which
-    renumbers ``index`` to the global request order.  Like
-    :func:`generate_request_batch`, the stream is seed-stable but not
-    bit-compatible with the sequential generator; changing
-    ``window_size`` changes the drawn workload.
+    :func:`generate_requests` on independent spawned child generators,
+    so windows can be regenerated or distributed without replaying
+    predecessors.  The union of the windows is a valid workload;
+    reassemble with :meth:`~repro.workload.requests.RequestBatch.concat`,
+    which renumbers ``index`` to the global request order.  The stream
+    is seed-stable, but changing ``window_size`` changes the drawn
+    workload, and it is not the stream of one :func:`generate_requests`
+    call over all users.
     """
     check_positive("window_size", window_size)
 
     def _windows():
         gen = as_generator(rng)
-        nonlocal homes
-        if homes is None:
-            homes = place_users(
-                network,
-                spec.n_users,
-                gen,
-                hotspot_fraction=spec.hotspot_fraction,
-                hotspot_weight=spec.hotspot_weight,
-            )
-        homes = np.asarray(homes, dtype=np.int64)
-        if homes.shape != (spec.n_users,):
-            raise ValueError(
-                f"homes must have shape ({spec.n_users},), got {homes.shape}"
-            )
+        all_homes = _homes(network, spec, gen, homes)
         n_windows = -(-spec.n_users // window_size)
         children = gen.spawn(n_windows)
         for w, child in enumerate(children):
             lo = w * window_size
             hi = min(lo + window_size, spec.n_users)
             sub = replace(spec, n_users=hi - lo)
-            yield generate_request_batch(
-                network, app, sub, rng=child, homes=homes[lo:hi]
+            yield generate_requests(
+                network, app, sub, rng=child, homes=all_homes[lo:hi]
             )
 
     return _windows()

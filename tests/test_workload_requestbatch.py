@@ -1,15 +1,15 @@
-"""Tests for the columnar RequestBatch and the batched generators."""
+"""Tests for the columnar RequestBatch and the batched generator."""
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
-from repro.microservices.chains import chain_catalog, enumerate_chains
+from repro.microservices.chains import chain_catalog, enumerate_chains, sample_chain
 from repro.microservices.eshop import eshop_application
 from repro.network import grid_topology
 from repro.workload import (
     RequestBatch,
     WorkloadSpec,
-    generate_request_batch,
     generate_requests,
 )
 from repro.workload.requests import (
@@ -277,10 +277,25 @@ class TestGenerateRequests:
         assert np.array_equal(a.data_in, b.data_in)
 
 
+#: Significance level of the chi-square tests at their fixed seeds.
+ALPHA = 1e-3
+
+
+def _catalog_counts(catalog, chains):
+    """Counts of ``chains`` (an iterable of tuples) per catalog entry."""
+    index = {c: k for k, c in enumerate(catalog)}
+    counts = np.zeros(len(catalog), dtype=np.int64)
+    for chain, n in chains:
+        counts[index[chain]] += n  # KeyError: a chain outside the catalog
+    return counts
+
+
 class TestGenerateRequestBatch:
+    """The batched chain-catalog sampler behind ``generate_requests``."""
+
     def test_basic_shape_and_bounds(self, net, app):
         spec = WorkloadSpec(n_users=200, min_chain=2, max_chain=5)
-        batch = generate_request_batch(net, app, spec, rng=0)
+        batch = generate_requests(net, app, spec, rng=0)
         assert isinstance(batch, RequestBatch)
         assert len(batch) == 200
         assert batch.lengths.min() >= 2
@@ -291,35 +306,81 @@ class TestGenerateRequestBatch:
 
     def test_chains_are_valid(self, net, app):
         spec = WorkloadSpec(n_users=100, min_chain=1, max_chain=4)
-        batch = generate_request_batch(net, app, spec, rng=1)
+        batch = generate_requests(net, app, spec, rng=1)
         valid = set(enumerate_chains(app, max_length=4))
         for r in batch:
             assert r.chain in valid
 
     def test_deterministic_by_seed(self, net, app):
         spec = WorkloadSpec(n_users=50)
-        a = generate_request_batch(net, app, spec, rng=9)
-        b = generate_request_batch(net, app, spec, rng=9)
+        a = generate_requests(net, app, spec, rng=9)
+        b = generate_requests(net, app, spec, rng=9)
         assert np.array_equal(a.chains, b.chains)
         assert np.array_equal(a.edge_data, b.edge_data)
 
     def test_homes_override(self, net, app):
         homes = np.zeros(30, dtype=np.int64)
-        batch = generate_request_batch(
+        batch = generate_requests(
             net, app, WorkloadSpec(n_users=30), rng=2, homes=homes
         )
         assert (batch.homes == 0).all()
 
-    def test_marginal_chain_distribution_matches_catalog(self, net, app):
-        """The batched generator draws chains from the exact sample_chain
-        distribution computed by chain_catalog."""
-        spec = WorkloadSpec(n_users=4000, min_chain=1, max_chain=3)
+    @pytest.fixture(scope="class")
+    def large(self):
+        """200k requests at a fixed seed, with the catalog they sample."""
+        net, app = grid_topology(3, 3, seed=1), eshop_application()
+        spec = WorkloadSpec(n_users=200_000, data_scale=2.0)
         catalog, probs = chain_catalog(
-            app, length_bias=spec.length_bias, min_length=1, max_length=3
+            app, spec.length_bias, spec.min_chain, spec.max_chain
         )
-        batch = generate_request_batch(net, app, spec, rng=5)
-        counts = {c: 0 for c in catalog}
-        for r in batch:
-            counts[r.chain] += 1
-        freqs = np.array([counts[c] / len(batch) for c in catalog])
-        assert np.abs(freqs - probs).max() < 0.03
+        return app, spec, catalog, probs, generate_requests(net, app, spec, rng=0)
+
+    def test_marginal_chain_distribution_matches_catalog(self, large):
+        """Chi-square of 200k sampled chains against the catalog's
+        probabilities (every expected count is above 250)."""
+        _, spec, catalog, probs, batch = large
+        rows, n = np.unique(
+            batch.padded_chain_matrix(), axis=0, return_counts=True
+        )
+        chains = (tuple(int(a) for a in row if a >= 0) for row in rows)
+        counts = _catalog_counts(catalog, zip(chains, n))
+        assert counts.sum() == spec.n_users
+        assert chisquare(counts, probs * spec.n_users).pvalue > ALPHA
+
+    def test_sample_chain_matches_catalog(self, app):
+        """The reference walk draws from the same catalog: 50k walks,
+        chi-square (every expected count is above 65)."""
+        spec = WorkloadSpec(n_users=1)
+        catalog, probs = chain_catalog(
+            app, spec.length_bias, spec.min_chain, spec.max_chain
+        )
+        gen = np.random.default_rng(0)
+        n = 50_000
+        walks = [
+            sample_chain(app, gen, spec.length_bias, spec.min_chain, spec.max_chain)
+            for _ in range(n)
+        ]
+        counts = _catalog_counts(catalog, ((c, 1) for c in walks))
+        assert chisquare(counts, probs * n).pvalue > ALPHA
+
+    def test_data_means_match_closed_form(self, large):
+        app, spec, catalog, probs, batch = large
+        n = spec.n_users
+        for got, (lo, hi) in (
+            (batch.data_in, spec.data_in_range),
+            (batch.data_out, spec.data_out_range),
+        ):
+            sd = spec.data_scale * (hi - lo) / np.sqrt(12.0)
+            mean = spec.data_scale * (lo + hi) / 2.0
+            assert abs(got.mean() - mean) < 5.0 * sd / np.sqrt(n)
+            assert got.min() >= spec.data_scale * lo
+            assert got.max() <= spec.data_scale * hi
+        # the noise has mean zero, so an edge leaving service a carries
+        # data_scale * data_out[a] on average; pooled over every edge of
+        # the workload that is a ratio of catalog expectations
+        dout = np.array([app.service(i).data_out for i in range(app.n_services)])
+        edge_sum = sum(p * dout[list(c[:-1])].sum() for c, p in zip(catalog, probs))
+        n_edges = sum(p * (len(c) - 1) for c, p in zip(catalog, probs))
+        expected = spec.data_scale * edge_sum / n_edges
+        assert batch.edge_data.size == (batch.lengths - 1).sum()
+        assert batch.edge_data.mean() == pytest.approx(expected, rel=5e-3)

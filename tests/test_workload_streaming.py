@@ -8,8 +8,8 @@ from repro.network import grid_topology
 from repro.workload import (
     RequestBatch,
     WorkloadSpec,
-    generate_request_batch,
     generate_request_windows,
+    generate_requests,
     place_users,
 )
 from repro.workload.requests import UserRequest
@@ -137,7 +137,7 @@ class TestWindows:
         """A window stream covers the same request count and data ranges
         as the one-shot generator (bit-compat is not promised)."""
         spec = WorkloadSpec(n_users=20, data_scale=2.0)
-        full = generate_request_batch(net, app, spec, rng=0)
+        full = generate_requests(net, app, spec, rng=0)
         wins = RequestBatch.concat(list(
             generate_request_windows(net, app, spec, rng=0, window_size=8)
         ))

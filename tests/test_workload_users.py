@@ -32,6 +32,24 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             WorkloadSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["data_in_range", "data_out_range"])
+    @pytest.mark.parametrize(
+        "bounds",
+        [(-3.0, -1.0), (-0.5, 1.0), (2.0, 1.0), (0.0, np.inf), (np.nan, 1.0)],
+        ids=["negative", "negative_lo", "reversed", "infinite", "nan"],
+    )
+    def test_invalid_data_ranges(self, field, bounds):
+        with pytest.raises(ValueError, match=field):
+            WorkloadSpec(n_users=5, **{field: bounds})
+
+    def test_degenerate_data_ranges_accepted(self, net, eshop_app):
+        spec = WorkloadSpec(
+            n_users=20, data_in_range=(0.0, 0.0), data_out_range=(1.5, 1.5)
+        )
+        reqs = generate_requests(net, eshop_app, spec, rng=0)
+        assert (reqs.data_in == 0.0).all()
+        assert (reqs.data_out == 1.5).all()
+
 
 class TestPlaceUsers:
     def test_shape_and_range(self, net):
