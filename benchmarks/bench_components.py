@@ -9,6 +9,8 @@ vectorized kernels are caught:
   ``*_reference`` loop kernels, so one run yields the paired
   before/after numbers recorded in ``BENCH_pipeline.json``;
 * the ζ latency-loss sweep (Alg. 4);
+* Alg. 3-4 end to end, whose serial descent scores each candidate merge
+  through the ``BatchRouter`` base;
 * whole-workload latency evaluation (Eq. 2, vectorized);
 * per-request DP routing.
 """
@@ -20,6 +22,7 @@ from repro.core import (
     CombinationState,
     initial_partition,
     latency_losses,
+    multi_scale_combination,
     preprovision,
 )
 from repro.core.partition import initial_partition_reference
@@ -82,6 +85,15 @@ def test_component_latency_loss_sweep(benchmark, instance, partitions, preprovis
 
     zetas = benchmark(sweep)
     assert zetas
+
+
+def test_component_serial_descent(benchmark, instance, partitions, preprovisioned):
+    """Alg. 3-4 on the fig-9 instance (20 servers, 100 users, seed 0)."""
+    placement, stats = benchmark(
+        multi_scale_combination, instance, partitions, preprovisioned
+    )
+    assert stats.serial_merges > 0
+    assert placement.total_instances > 0
 
 
 def test_component_latency_evaluation(benchmark, instance, preprovisioned):

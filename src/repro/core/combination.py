@@ -32,10 +32,14 @@ the touched service between descent rounds instead of recomputing the
 full tables.  The ζ row of a service is produced for **all** of its
 hosts at once by one masked best/second-best argmin over the
 ``(demand_nodes, hosts)`` cost matrix (see :meth:`CombinationState._zeta_row`),
-replacing the per-(host, demand-node) Python loops.  The serial stage's
-true-objective evaluations share a :class:`~repro.model.engine.BatchRouter`
-so each candidate merge re-routes only the chains touching the merged
-service.  All cached results are bit-identical to a fresh recompute;
+replacing the per-(host, demand-node) Python loops.  The serial stage
+scores its true objective through one :class:`~repro.model.engine.BatchRouter`
+whose committed base is the iteration's snapshot placement: each
+candidate merge re-routes only the requests whose optimal route used the
+removed instance (or, when Alg. 5 gave a service a host, every request
+of that service), and the winner is committed as the next snapshot's
+base instead of being routed again.  All cached results are
+bit-identical to a fresh recompute;
 ``tests/test_property_combination_cache.py`` enforces this.
 """
 
@@ -51,7 +55,7 @@ from repro.core.config import SoCLConfig
 from repro.core.partition import PartitionResult
 from repro.core.storage import StoragePlanOutcome, storage_plan
 from repro.model.cost import deployment_cost
-from repro.model.engine import BatchRouter
+from repro.model.engine import BatchRouter, RouteTrial
 from repro.model.instance import ProblemInstance
 from repro.model.latency import total_latency
 from repro.model.placement import Placement, Routing
@@ -256,29 +260,40 @@ class CombinationState:
         a[mask] = assigned[mask]
         return Routing(inst, a)
 
+    @property
+    def router(self) -> BatchRouter:
+        """The optimal-routing engine, built on first use."""
+        if self._router is None:
+            self._router = BatchRouter(self.instance)
+        return self._router
+
+    def _q(self, latency_sum: float) -> float:
+        lam = self.instance.config.weight
+        return lam * self.cost() + (1.0 - lam) * latency_sum
+
+    def scored(self) -> tuple[float, RouteTrial]:
+        """``Q`` of the placement under optimal routing, with its trial.
+
+        Scored against the router's base without committing; pass the
+        trial to ``self.router.commit`` to make this placement the base.
+        """
+        trial = self.router.score(self.placement)
+        return self._q(trial.latency_sum), trial
+
     def objective(self, routing: str = "reliance") -> float:
         """Eq. (8) objective value Q.
 
         ``routing="reliance"`` scores under the paper's connection-update
         routing (cheap, used inside the parallel stage); ``"optimal"``
-        re-routes every request optimally first — the value the serial
+        routes every request optimally first — the value the serial
         stage's gradient δ compares (Alg. 3 lines 7/9 evaluate the true
-        objective).  The optimal path goes through a cached
-        :class:`~repro.model.engine.BatchRouter`, so consecutive calls
-        that differ in one service's hosts only re-route the chains
-        containing that service.
+        objective).  The optimal value is scored through the router's
+        committed base (:meth:`scored`); the first call routes everything
+        and becomes the base.
         """
-        inst = self.instance
-        lam = inst.config.weight
-        cost = self.cost()
         if routing == "optimal":
-            if self._router is None:
-                self._router = BatchRouter(inst)
-            r = self._router.route(self.placement)
-        else:
-            r = self.routing()
-        lat = float(total_latency(inst, r).sum())
-        return lam * cost + (1.0 - lam) * lat
+            return self.scored()[0]
+        return self._q(float(total_latency(self.instance, self.routing()).sum()))
 
     def cost(self) -> float:
         """Deployment cost of the current placement (cached per mutation)."""
@@ -642,10 +657,13 @@ def multi_scale_combination(
     # δ = Q' − Q'' + Θ, with deadline roll-back and storage planning.
     tabu: set[tuple[int, int]] = set()
     theta = config.theta
-    # Q of the placement an iteration starts from.  It is scored once:
-    # an accepted merge's q_after was scored on exactly the placement the
-    # next iteration starts from, and an iteration that keeps nothing
-    # leaves the placement (so its q_before) as it was.
+    # Q of the placement an iteration starts from.  It is scored once, by
+    # one full route that becomes the router's base: an accepted merge's
+    # q_after was scored on exactly the placement the next iteration
+    # starts from, and its trial is committed as the new base, while an
+    # iteration that keeps nothing leaves the placement, its q_before and
+    # the base as they were.  Every candidate is scored against the base,
+    # that is, against the iteration's snapshot.
     q_before: Optional[float] = None
     with tracer.span("serial_descent"):
         for _ in range(config.max_serial_iterations):
@@ -659,7 +677,7 @@ def multi_scale_combination(
 
             candidates = sorted(zetas, key=zetas.get)[:_SERIAL_CANDIDATES]
             reg.inc("merges_proposed", len(candidates))
-            best: Optional[tuple[float, StoragePlanOutcome]] = None
+            best: Optional[tuple[float, StoragePlanOutcome, RouteTrial]] = None
             for service, node in candidates:
                 state.set_placement(snapshot)
                 state.remove(service, node)
@@ -670,15 +688,15 @@ def multi_scale_combination(
                     tabu.add((service, node))
                     reg.inc("rollbacks")
                     continue
-                q_after = state.objective("optimal")
+                q_after, trial = state.scored()
                 if best is None or q_after < best[0]:
-                    best = (q_after, plan)
+                    best = (q_after, plan, trial)
             if best is None:
                 state.set_placement(snapshot)
                 continue
 
             # keep the winner's planned placement as it was scored
-            q_after, plan = best
+            q_after, plan, trial = best
             state.set_placement(plan.placement)
 
             if forced:
@@ -689,6 +707,7 @@ def multi_scale_combination(
                 reg.inc("serial_merges")
                 reg.inc("merges_accepted")
                 reg.inc("forced_merges")
+                state.router.commit(trial)
                 q_before = q_after
                 continue
 
@@ -700,6 +719,7 @@ def multi_scale_combination(
             reg.inc("migrations", len(plan.migrations))
             reg.inc("serial_merges")
             reg.inc("merges_accepted")
+            state.router.commit(trial)
             q_before = q_after
 
     # ---------------- relocation polish ----------------
@@ -722,6 +742,7 @@ def multi_scale_combination(
         if state._router is not None:
             reg.inc("router_services_rerouted", state._router.rerouted_services)
             reg.inc("router_services_cached", state._router.cached_services)
+            reg.inc("router_rows_rerouted", state._router.rerouted_rows)
         tracer.metrics.merge(reg, prefix="combination.")
     logger.debug(
         "multi_scale_combination: %d parallel + %d serial merges, "

@@ -47,16 +47,31 @@ class LatencyBreakdown:
 
 
 def _components(
-    instance: ProblemInstance, routing: Routing, model: Optional[str]
+    instance: ProblemInstance,
+    assignment: np.ndarray,
+    model: Optional[str],
+    rows: Optional[np.ndarray] = None,
 ) -> LatencyBreakdown:
+    """Eq. (2) terms of every request, or of the requests in ``rows``.
+
+    With ``rows`` the terms cover only those requests, in that order;
+    each entry is computed by the same elementwise code as the full
+    call, so it is bit-identical to the matching entry of the full
+    result (:class:`~repro.model.engine.BatchRouter` splices them into
+    its per-request latency vector).
+    """
     model = model or instance.config.latency_model
     if model not in ("chain", "star"):
         raise ValueError(f"unknown latency model {model!r}")
-    a = routing.assignment  # (H, L) extended node indices, -1 padding
-    mask = instance.chain_mask
+
+    def take(x: np.ndarray) -> np.ndarray:
+        return x if rows is None else x[rows]
+
+    a = take(assignment)  # (H, L) extended node indices, -1 padding
+    mask = take(instance.chain_mask)
     inv = instance.inv_rate
-    homes = instance.homes
-    chain = instance.chain_matrix
+    homes = take(instance.homes)
+    chain = take(instance.chain_matrix)
     H, L = a.shape
 
     # Replace padding with 0 for safe fancy indexing; masked out later.
@@ -65,7 +80,7 @@ def _components(
 
     # d_in: upload to the first assigned node.
     first = a_safe[:, 0]
-    d_in = instance.data_in * inv[homes, first]
+    d_in = take(instance.data_in) * inv[homes, first]
 
     # processing: q(m_i) / c(node) at every valid position.
     q = instance.service_compute[chain_safe]
@@ -80,13 +95,13 @@ def _components(
             edge_valid = mask[:, 1:]
             d_link = np.where(
                 edge_valid,
-                instance.edge_data_matrix[:, : L - 1] * inv[src, dst],
+                take(instance.edge_data_matrix)[:, : L - 1] * inv[src, dst],
                 0.0,
             ).sum(axis=1)
         else:  # star: each cycle from the user's home node
             # position 0's inflow is d_in (already counted); later
             # positions ship their inflow from home.
-            inflow = instance.inflow_matrix[:, 1:]
+            inflow = take(instance.inflow_matrix)[:, 1:]
             dst = a_safe[:, 1:]
             edge_valid = mask[:, 1:]
             d_link = np.where(
@@ -96,9 +111,9 @@ def _components(
         d_link = np.zeros(H)
 
     # d_out: return from the last assigned node.
-    last_pos = instance.chain_lengths - 1
+    last_pos = take(instance.chain_lengths) - 1
     last = a_safe[np.arange(H), last_pos]
-    d_out = instance.data_out * inv[last, homes]
+    d_out = take(instance.data_out) * inv[last, homes]
 
     return LatencyBreakdown(d_in=d_in, d_compute=d_compute, d_link=d_link, d_out=d_out)
 
@@ -113,7 +128,7 @@ def total_latency(
     ``model`` overrides the instance's configured latency model (used by
     the star-vs-chain ablation).
     """
-    return _components(instance, routing, model).total
+    return _components(instance, routing.assignment, model).total
 
 
 def request_latency(
@@ -132,4 +147,4 @@ def latency_breakdown(
     model: Optional[str] = None,
 ) -> LatencyBreakdown:
     """Full per-request decomposition into in/compute/link/out terms."""
-    return _components(instance, routing, model)
+    return _components(instance, routing.assignment, model)

@@ -101,18 +101,17 @@ def _star_assign(
     hosts: list[np.ndarray],
     comp: np.ndarray,
     a: np.ndarray,
-    services: Optional[np.ndarray] = None,
-    rows: Optional[np.ndarray] = None,
+    positions: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> None:
     """Star-model batch kernel: one masked broadcast, no per-request loop.
 
     Positions decouple under the star model, so every valid ``(h, j)``
     chain position of the workload becomes one row of a flat
     ``(positions, Hmax)`` cost matrix; a single masked argmin yields all
-    assignments at once.  ``services`` restricts the update to positions
-    whose service is in the set (incremental re-routing after a placement
-    change that touched only those services); ``rows`` restricts it to a
-    subset of requests (:func:`partial_reroute`).
+    assignments at once.  ``positions`` (``(rows, columns)`` index
+    arrays) restricts the update to those chain positions: the rows of
+    :func:`partial_reroute`, or the positions of the changed services
+    that :class:`~repro.model.engine.BatchRouter` re-routes.
 
     A pure ``(service, home)`` argmin table would be even smaller, but it
     is exact only when all requests ship identical data volumes: the
@@ -120,15 +119,8 @@ def _star_assign(
     can flip the argmin, so we keep the per-position rows.
     """
     inst = instance
-    mask = inst.chain_mask
     chain = inst.chain_matrix
-    if rows is not None:
-        row_mask = np.zeros(mask.shape[0], dtype=bool)
-        row_mask[rows] = True
-        mask = mask & row_mask[:, None]
-    if services is not None:
-        mask = mask & np.isin(chain, services)
-    hs, js = np.nonzero(mask)
+    hs, js = np.nonzero(inst.chain_mask) if positions is None else positions
     if hs.size == 0:
         return
     pad, valid = _padded_hosts(hosts)
@@ -292,7 +284,8 @@ def partial_reroute(
     if rows.size:
         hosts = _host_lists(instance, placement)
         if model == "star":
-            _star_assign(instance, hosts, instance.compute_ext, a, rows=rows)
+            hs, js = np.nonzero(instance.chain_mask[rows])
+            _star_assign(instance, hosts, instance.compute_ext, a, positions=(rows[hs], js))
         else:
             _chain_assign_batch(instance, hosts, instance.compute_ext, a, rows=rows)
     return Routing(instance, a)

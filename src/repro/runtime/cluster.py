@@ -365,7 +365,8 @@ class SimulatedCluster:
 
         The crashed ``(svc, node)`` pair is removed from a live placement
         copy and the :class:`BatchRouter` recomputes the optimal
-        assignment incrementally (only the touched service re-routes);
+        assignment incrementally (a crash is a pure removal, so only the
+        requests whose route used the crashed instance re-route);
         the request resumes at its re-routed hop after paying the
         transfer from the crashed node to the surviving one.  When the
         service has no surviving edge instance the router falls back to

@@ -298,7 +298,9 @@ class TestSerialDescentGolden:
     roll back), and whose λ is small enough for the gradient δ to stop
     the descent.  Each case asserts the counters it is named for are
     non-zero, so the pin covers forced merges, gradient merges,
-    rollbacks and storage migrations.  The instances draw their requests
+    rollbacks and storage migrations.  Cases named ``star_*`` run under
+    the star latency model, so the serial descent's optimal-routing
+    objective is pinned under both models.  The instances draw their requests
     from the frozen per-user stream (``per_user_stream``), so the pin is
     on the combination, not on the request generator.
     """
@@ -326,6 +328,12 @@ class TestSerialDescentGolden:
                           ("gradient", "rollbacks", "migrations")),
         "forced_then_gradient_stop": (8, 8000.0, 0.8, 1, None, 0.02,
                                       ("forced", "gradient", "migrations")),
+        # star latency model; λ small enough that pricing these
+        # placements under the chain model would pick other merges
+        "star_forced_rollback": (6, 8000.0, 0.8, 0, 2.5, 0.1,
+                                 ("forced", "rollbacks", "migrations")),
+        "star_gradient_rollback": (8, 8000.0, 0.8, 0, 2.5, 0.02,
+                                   ("gradient", "rollbacks", "migrations")),
     }
 
     GOLDEN = {
@@ -369,13 +377,22 @@ class TestSerialDescentGolden:
             "9457247bd76dc6538b816168e6deb9a3"
             "0fbaec3429ed539554431f29bd778439"
         ),
+        "star_forced_rollback": (
+            "6c09ef09cc23fa0f69b06eb31fa14719"
+            "177e4ef956cd2a0285b014eebd404e5c"
+        ),
+        "star_gradient_rollback": (
+            "9c482699f11bd88c0d3c4257bc142b20"
+            "7d7d129384cf34182f98add6becea8c8"
+        ),
     }
 
     @staticmethod
-    def _instance(n_servers, budget, scale, seed, deadline_factor, weight):
+    def _instance(n_servers, budget, scale, seed, deadline_factor, weight,
+                  latency_model="chain"):
         base = build_scenario(ScenarioParams(
             n_servers=n_servers, n_users=40, budget=budget, seed=seed,
-            weight=weight,
+            weight=weight, latency_model=latency_model,
         ))
         net = EdgeNetwork(
             [replace(s, storage=s.storage * scale) for s in base.network.servers],
@@ -391,7 +408,9 @@ class TestSerialDescentGolden:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_digest(self, name):
         *shape, counters = self.CASES[name]
-        inst = self._instance(*shape)
+        model = "star" if name.startswith("star_") else "chain"
+        inst = self._instance(*shape, latency_model=model)
+        assert inst.config.latency_model == model
         parts = initial_partition(inst)
         pre = preprovision(inst, parts)
         placement, stats = multi_scale_combination(inst, parts, pre)

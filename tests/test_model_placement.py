@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.model import Placement, Routing
+from repro.model import BatchRouter, Placement, Routing, optimal_routing
 
 
 class TestPlacement:
@@ -103,16 +103,30 @@ class TestRouting:
             Routing(tiny_instance, np.zeros((2, 2), dtype=np.int64))
 
     def test_out_of_range_node_rejected(self, tiny_instance):
-        a = self._valid_assignment(tiny_instance)
-        a[0, 0] = 99
-        with pytest.raises(ValueError, match="out-of-range"):
-            Routing(tiny_instance, a)
+        assert tiny_instance.cloud == 3
+        # past the servers, past the cloud index, padding at a chain position
+        for pos, value in [((0, 0), 99), ((0, 1), 4), ((0, 0), -1)]:
+            a = self._valid_assignment(tiny_instance)
+            a[pos] = value
+            with pytest.raises(ValueError, match="out-of-range"):
+                Routing(tiny_instance, a)
 
     def test_bad_padding_rejected(self, tiny_instance):
-        a = self._valid_assignment(tiny_instance)
-        a[1, 2] = 0  # request 1 has length 2; position 2 must stay -1
-        with pytest.raises(ValueError, match="padding"):
-            Routing(tiny_instance, a)
+        # request 1 has length 2; position 2 must stay -1, cloud included
+        for value in (0, tiny_instance.cloud):
+            a = self._valid_assignment(tiny_instance)
+            a[1, 2] = value
+            with pytest.raises(ValueError, match="padding"):
+                Routing(tiny_instance, a)
+
+    def test_router_routing_is_a_copy(self, tiny_instance):
+        placement = Placement.full(tiny_instance)
+        router = BatchRouter(tiny_instance)
+        r = router.route(placement)
+        assert np.array_equal(
+            r.assignment, optimal_routing(tiny_instance, placement).assignment
+        )
+        assert not np.shares_memory(r.assignment, router.score(placement).assignment)
 
     def test_cloud_assignment_allowed(self, tiny_instance):
         a = self._valid_assignment(tiny_instance)

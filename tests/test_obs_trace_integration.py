@@ -49,6 +49,12 @@ class TestBitIdenticalFig7:
         assert tracer.counters["socl.solves"] == 1
         names = {s.name for s in tracer.roots[0].children}
         assert {"partition", "preprovision", "combination", "routing"} <= names
+        # the serial descent's router publishes its work: one full route
+        # of every request, then only the rows a candidate could move
+        n_requests = on.routing.assignment.shape[0]
+        assert tracer.counters["combination.router_rows_rerouted"] >= n_requests
+        assert tracer.counters["combination.router_services_rerouted"] > 0
+        assert "combination.router_services_cached" in tracer.counters
 
 
 class TestBitIdenticalFig9:

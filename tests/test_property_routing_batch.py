@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.microservices import Application, Microservice
 from repro.model import BatchRouter, Placement, ProblemConfig, ProblemInstance
+from repro.model.latency import total_latency
 from repro.model.routing import _host_lists, _route_one, greedy_routing, optimal_routing
 from repro.network import grid_topology
 from repro.workload import WorkloadSpec, generate_requests
@@ -126,3 +127,137 @@ def test_batch_router_incremental_matches_fresh(pair, model, data):
     before = router.rerouted_services
     router.route(placement)
     assert router.rerouted_services == before
+
+
+def assert_trial_is_fresh(inst, placement, trial, model):
+    """A router trial equals fresh routing and Eq. (2), bit for bit."""
+    fresh = optimal_routing(inst, placement, model=model)
+    lat = total_latency(inst, fresh, model)
+    assert np.array_equal(trial.matrix, placement.matrix)
+    assert np.array_equal(trial.assignment, fresh.assignment)
+    assert trial.latency.tobytes() == lat.tobytes()
+    assert trial.latency_sum == float(lat.sum())
+
+
+def rows_containing(inst, svc) -> int:
+    return int(((inst.chain_matrix == svc) & inst.chain_mask).any(axis=1).sum())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pair=instances_with_placements(),
+    model=st.sampled_from(["star", "chain"]),
+    data=st.data(),
+)
+def test_batch_router_scores_against_committed_base(pair, model, data):
+    """Candidates scored against one base, then one committed ≡ fresh."""
+    inst, placement = pair
+    router = BatchRouter(inst, model=model)
+    router.route(placement)
+    trials = []
+    for _ in range(data.draw(st.integers(min_value=2, max_value=4), label="cands")):
+        cand = placement.copy()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="edits")):
+            svc = data.draw(st.integers(0, inst.n_services - 1), label="service")
+            node = data.draw(st.integers(0, inst.n_servers - 1), label="node")
+            if cand.has(svc, node):
+                cand.remove(svc, node)
+            else:
+                cand.add(svc, node)
+        trial = router.score(cand)
+        assert_trial_is_fresh(inst, cand, trial, model)
+        trials.append((cand, trial))
+    # scoring never moved the base: re-scoring the base re-routes nothing
+    rows = router.rerouted_rows
+    assert_trial_is_fresh(inst, placement, router.score(placement), model)
+    assert router.rerouted_rows == rows
+    cand, trial = trials[data.draw(st.integers(0, len(trials) - 1), label="winner")]
+    router.commit(trial)
+    rows = router.rerouted_rows
+    assert_trial_is_fresh(inst, cand, router.score(cand), model)
+    assert router.rerouted_rows == rows
+    # the next candidate is scored against the committed winner
+    nxt = cand.copy()
+    svc = data.draw(st.integers(0, inst.n_services - 1), label="service")
+    node = data.draw(st.integers(0, inst.n_servers - 1), label="node")
+    if nxt.has(svc, node):
+        nxt.remove(svc, node)
+    else:
+        nxt.add(svc, node)
+    assert_trial_is_fresh(inst, nxt, router.score(nxt), model)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pair=instances_with_placements(),
+    model=st.sampled_from(["star", "chain"]),
+    data=st.data(),
+)
+def test_batch_router_prunes_pure_removals(pair, model, data):
+    """Removing a host re-routes exactly the rows whose route used it."""
+    inst, placement = pair
+    router = BatchRouter(inst, model=model)
+    base = router.route(placement).assignment
+    for _ in range(data.draw(st.integers(min_value=1, max_value=5), label="steps")):
+        removable = [
+            (svc, k) for svc, k in placement.pairs() if placement.instance_count(svc) > 1
+        ]
+        if not removable:
+            break
+        svc, k = data.draw(st.sampled_from(removable), label="removal")
+        placement.remove(svc, k)
+        users = int(((inst.chain_matrix == svc) & (base == k)).any(axis=1).sum())
+        assert users <= rows_containing(inst, svc)
+        rows = router.rerouted_rows
+        trial = router.score(placement)
+        assert router.rerouted_rows - rows == users
+        assert_trial_is_fresh(inst, placement, trial, model)
+        router.commit(trial)
+        base = trial.assignment
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pair=instances_with_placements(),
+    model=st.sampled_from(["star", "chain"]),
+    data=st.data(),
+)
+def test_batch_router_reroutes_service_on_cloud_fallback_and_gain(pair, model, data):
+    """Emptying a service to the cloud, then giving it hosts, ≡ fresh."""
+    inst, placement = pair
+    router = BatchRouter(inst, model=model)
+    router.route(placement)
+    svc = data.draw(st.integers(0, inst.n_services - 1), label="service")
+    changed = placement.hosts(svc).size > 0
+    for k in placement.hosts(svc):
+        placement.remove(svc, k)
+    rows = router.rerouted_rows
+    trial = router.score(placement)
+    assert router.rerouted_rows - rows == (rows_containing(inst, svc) if changed else 0)
+    assert_trial_is_fresh(inst, placement, trial, model)
+    router.commit(trial)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="gains")):
+        node = data.draw(st.integers(0, inst.n_servers - 1), label="node")
+        gained = not placement.has(svc, node)
+        placement.add(svc, node)
+        rows = router.rerouted_rows
+        trial = router.score(placement)
+        assert router.rerouted_rows - rows == (rows_containing(inst, svc) if gained else 0)
+        assert_trial_is_fresh(inst, placement, trial, model)
+        router.commit(trial)
+
+
+def test_batch_router_removal_skips_rows_off_the_lost_instance():
+    """A removal re-routes fewer rows than the service's chains hold."""
+    inst = build_instance(seed=3, n_users=12, max_chain=4)
+    placement = Placement.full(inst)
+    for model in ("star", "chain"):
+        router = BatchRouter(inst, model=model)
+        base = router.route(placement).assignment
+        used = base[(inst.chain_matrix == 0) & inst.chain_mask]
+        k = int(np.bincount(used).argmax())
+        cand = placement.copy()
+        cand.remove(0, k)
+        rows = router.rerouted_rows
+        assert_trial_is_fresh(inst, cand, router.score(cand), model)
+        assert 0 < router.rerouted_rows - rows < rows_containing(inst, 0)
