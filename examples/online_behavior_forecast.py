@@ -1,4 +1,4 @@
-"""Online provisioning with user behavior, forecasting and warm starts.
+"""Online provisioning with user behavior, warm starts and node failures.
 
 This example exercises the repository's extensions beyond the paper's
 one-shot pipeline (its stated future work: "incorporate user behavior
@@ -10,9 +10,7 @@ modeling and preference integration"):
 2. an :class:`repro.core.OnlineSoCL` solver warm-starts from the
    previous slot's placement whenever the measured demand shift is
    small, falling back to full re-solves on regime changes;
-3. a :class:`repro.workload.HoltForecaster` backtests one-step demand
-   prediction against the realized volumes;
-4. a node-failure schedule stresses the pipeline mid-trace.
+3. a node-failure schedule stresses the pipeline mid-trace.
 
 Run:  python examples/online_behavior_forecast.py
 """
@@ -25,9 +23,7 @@ from repro.experiments import sparkline
 from repro.runtime.failures import OutageSchedule, degrade_instance
 from repro.workload import (
     BehaviorModel,
-    HoltForecaster,
     behavioral_requests,
-    evaluate_forecaster,
     generate_arrivals,
 )
 
@@ -82,13 +78,6 @@ def main() -> None:
     print("\nper-slot mean latency:", sparkline(means, width=40))
     print(f"online solver time vs scratch: see modes above "
           f"(scratch total {scratch_runtime:.2f}s)")
-
-    # forecast the volume series
-    score = evaluate_forecaster(HoltForecaster(), trace.volumes.tolist())
-    print(
-        f"\nHolt demand forecast over the full trace: MAE {score.mae:.1f} "
-        f"RMSE {score.rmse:.1f} bias {score.bias:+.1f} ({score.n} points)"
-    )
 
 
 if __name__ == "__main__":

@@ -30,13 +30,6 @@ from repro.workload.alibaba import (
     similarity_matrix,
     service_similarity_profile,
 )
-from repro.workload.forecast import (
-    EwmaForecaster,
-    HoltForecaster,
-    SlidingMaxForecaster,
-    ForecastScore,
-    evaluate_forecaster,
-)
 from repro.workload.behavior import (
     UserProfile,
     BehaviorModel,
@@ -61,11 +54,6 @@ __all__ = [
     "trace_similarity",
     "similarity_matrix",
     "service_similarity_profile",
-    "EwmaForecaster",
-    "HoltForecaster",
-    "SlidingMaxForecaster",
-    "ForecastScore",
-    "evaluate_forecaster",
     "UserProfile",
     "BehaviorModel",
     "behavioral_requests",
