@@ -436,6 +436,19 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    """``--jobs`` type: an integer >= -1 (``0``/``-1`` mean every CPU)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < -1:
+        raise argparse.ArgumentTypeError(f"must be >= -1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -476,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="fig2|fig3|fig4|fig7|fig8|fig9|fig10")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--slots", type=int, default=12)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="worker processes for fig7/fig8/fig9 sweep cells")
     p.set_defaults(func=cmd_figure)
 
@@ -512,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep retries/timeouts but disable hedged re-routing")
     p.add_argument("--no-shedding", action="store_true",
                    help="keep retries/hedging but disable admission-time shedding")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="worker processes for sweep cells")
     p.set_defaults(func=cmd_resilience)
 
@@ -534,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=["diurnal", "bursty"],
         help="arrival-trace profiles driving per-slot request volumes",
     )
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="worker processes for sweep cells")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also dump the comparison rows as JSON to PATH")
@@ -551,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--solvers", nargs="+", choices=SOLVER_CHOICES, default=["rp", "jdr", "socl"]
     )
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="worker processes for sweep cells")
     p.set_defaults(func=cmd_sweep)
 

@@ -205,9 +205,7 @@ class OnlineSoCL:
         in the nearby area" lever.  It deliberately trades deployment
         cost for placement stability; whether the extra warm capacity
         pays off in cold starts depends on how stationary the workload
-        is (measured in ``benchmarks/bench_online.py`` — with fully
-        re-randomized chains each slot it does not, with behavioral
-        workloads it narrows).
+        is, which no benchmark measures.
         """
         if self._prev_placement is None or self._prev_shape != (
             instance.n_services,

@@ -12,8 +12,7 @@ offline in minutes; pass the paper's sizes explicitly (see
 
 from __future__ import annotations
 
-import logging
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,62 +28,9 @@ from repro.experiments.scenarios import ScenarioParams, build_scenario
 from repro.microservices.eshop import eshop_application
 from repro.model.instance import ProblemConfig
 from repro.network.generators import stadium_topology
-from repro.obs import Tracer, current_tracer, use_tracer
 from repro.runtime.resilience import FaultConfig, FaultInjector, ResiliencePolicy
 from repro.runtime.simulator import OnlineSimulator
 from repro.utils.parallel import parallel_map
-
-logger = logging.getLogger(__name__)
-
-
-def _traced_cell(bundle: tuple) -> tuple[object, dict]:
-    """Run one figure cell under a private tracer; (result, payload).
-
-    Top-level so it pickles into process-pool workers; ``bundle`` is
-    ``(cell_fn, task, label)`` with ``cell_fn`` itself a top-level
-    function.
-    """
-    cell_fn, task, label = bundle
-    tracer = Tracer(label)
-    with use_tracer(tracer):
-        out = cell_fn(task)
-    return out, tracer.payload()
-
-
-def _run_cells(
-    cell_fn: Callable[[tuple], object],
-    tasks: Sequence[tuple],
-    n_jobs: int,
-    label: str,
-    tracer=None,
-) -> list:
-    """Fan figure cells out over a process pool, merging worker traces.
-
-    With the ambient tracer disabled this is exactly the plain
-    ``parallel_map`` call; when enabled, each worker traces its own cell
-    and the payloads fold back into ``tracer`` (counters add, span
-    forests graft under per-cell roots), so traced parallel runs report
-    the same counters as traced serial runs.
-    """
-    if tracer is None:
-        tracer = current_tracer()
-    if tracer.enabled:
-        pairs = parallel_map(
-            _traced_cell,
-            [(cell_fn, task, f"{label}[{i}]") for i, task in enumerate(tasks)],
-            n_jobs=n_jobs,
-            min_items_per_worker=1,
-            allow_oversubscribe=True,
-        )
-        results = []
-        for out, payload in pairs:
-            tracer.merge_payload(payload)
-            results.append(out)
-        logger.info("%s: %d cells solved (traced)", label, len(results))
-        return results
-    return parallel_map(
-        cell_fn, tasks, n_jobs=n_jobs, min_items_per_worker=1, allow_oversubscribe=True
-    )
 from repro.workload.alibaba import (
     cross_file_similarity,
     service_similarity_profile,
@@ -258,7 +204,7 @@ def fig7_socl_vs_opt(
         )
         for n_servers in node_scales
     ]
-    per_cell = _run_cells(_fig7_cell, tasks, n_jobs, "fig7")
+    per_cell = parallel_map(_fig7_cell, tasks, n_jobs=n_jobs)
     return [row for rows in per_cell for row in rows]
 
 
@@ -302,7 +248,7 @@ def fig8_baselines(
         (n_users, n_servers, budget, seed, include_gcog)
         for n_users in user_scales
     ]
-    per_cell = _run_cells(_fig8_cell, tasks, n_jobs, "fig8")
+    per_cell = parallel_map(_fig8_cell, tasks, n_jobs=n_jobs)
     return [row for rows in per_cell for row in rows]
 
 
@@ -384,7 +330,7 @@ def fig9_cluster(
             SoCL(),
         )
     ]
-    return _run_cells(_fig9_cell, tasks, n_jobs, "fig9")
+    return parallel_map(_fig9_cell, tasks, n_jobs=n_jobs)
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +428,7 @@ def resilience_sweep(
             OnlineSoCL(),
         )
     ]
-    return _run_cells(_resilience_cell, tasks, n_jobs, "resilience")
+    return parallel_map(_resilience_cell, tasks, n_jobs=n_jobs)
 
 
 # ----------------------------------------------------------------------
@@ -604,7 +550,7 @@ def autoscale_sweep(
         for traffic in traffics
         for mode in modes
     ]
-    return _run_cells(_autoscale_cell, tasks, n_jobs, "autoscale")
+    return parallel_map(_autoscale_cell, tasks, n_jobs=n_jobs)
 
 
 # ----------------------------------------------------------------------

@@ -7,16 +7,12 @@ along with the instance, and results come back in the exact order the
 serial path would produce them.
 
 Telemetry: rows carry the solver's per-stage wall-clock times
-(``t_partition`` … columns, empty for baselines without stages), and
-when the ambient :mod:`repro.obs` tracer is enabled each pool worker
-runs its cell under a private tracer and ships the picklable payload
-back for the parent to merge — counters are then identical to a serial
-traced run, with per-cell span trees grafted under worker roots.
+(``t_partition`` … columns, empty for baselines without stages); cell
+tracing under an enabled ambient tracer is :func:`parallel_map`'s job.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -27,10 +23,7 @@ from repro.baselines import (
 )
 from repro.core import SoCL, SoCLConfig
 from repro.model.instance import ProblemInstance
-from repro.obs import Tracer, current_tracer, use_tracer
 from repro.utils.parallel import parallel_map
-
-logger = logging.getLogger(__name__)
 
 #: SoCL pipeline stages, in execution order (the ``t_<stage>`` columns).
 STAGE_NAMES = ("partition", "preprovision", "combination", "routing")
@@ -102,20 +95,6 @@ def _solve_cell(cell: tuple) -> AlgorithmRow:
     return _row_from_result(solver, solver.solve(instance), params)
 
 
-def _solve_cell_traced(cell: tuple) -> tuple[AlgorithmRow, dict]:
-    """Traced variant of :func:`_solve_cell`: returns (row, trace payload).
-
-    The worker builds its own tracer (process pools cannot share the
-    parent's), so the payload carries everything the cell emitted.
-    """
-    solver, instance, params = cell
-    name = getattr(solver, "name", type(solver).__name__)
-    tracer = Tracer(f"cell:{name}")
-    with use_tracer(tracer):
-        row = _row_from_result(solver, solver.solve(instance), params)
-    return row, tracer.payload()
-
-
 def compare_algorithms(
     instance: ProblemInstance,
     solvers: Optional[Sequence] = None,
@@ -135,7 +114,6 @@ def sweep(
     instances: Iterable[tuple[dict, ProblemInstance]],
     solvers_factory: Callable[[], Sequence] = default_solvers,
     n_jobs: int = 1,
-    tracer: Optional[Tracer] = None,
 ) -> list[AlgorithmRow]:
     """Run the solver lineup over a parameterized instance sweep.
 
@@ -144,35 +122,10 @@ def sweep(
     With ``n_jobs > 1`` the (solver, instance) cells are solved on a
     process pool; row order matches the serial nested loop regardless
     (only the ``runtime`` field is timing-dependent).
-
-    ``tracer`` defaults to the ambient tracer; when enabled, each cell
-    is traced in its worker and the payloads are merged back here.
     """
     cells = [
         (solver, instance, params)
         for params, instance in instances
         for solver in solvers_factory()
     ]
-    if tracer is None:
-        tracer = current_tracer()
-    if tracer.enabled:
-        pairs = parallel_map(
-            _solve_cell_traced,
-            cells,
-            n_jobs=n_jobs,
-            min_items_per_worker=1,
-            allow_oversubscribe=True,
-        )
-        rows = []
-        for row, payload in pairs:
-            tracer.merge_payload(payload)
-            rows.append(row)
-        logger.info("sweep: %d cells solved (traced)", len(rows))
-        return rows
-    return parallel_map(
-        _solve_cell,
-        cells,
-        n_jobs=n_jobs,
-        min_items_per_worker=1,
-        allow_oversubscribe=True,
-    )
+    return parallel_map(_solve_cell, cells, n_jobs=n_jobs)

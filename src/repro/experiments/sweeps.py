@@ -21,17 +21,13 @@ Example
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.scenarios import ScenarioParams, build_scenario
-from repro.obs import Tracer, current_tracer, use_tracer
 from repro.utils.parallel import parallel_map
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -89,28 +85,12 @@ def _solve_grid_cell(task: tuple) -> list[SweepCell]:
     return cells
 
 
-def _solve_grid_cell_traced(task: tuple) -> tuple[list[SweepCell], dict]:
-    """Traced variant of :func:`_solve_grid_cell`: (cells, trace payload).
-
-    The worker runs its cell under a private tracer and ships the
-    picklable payload back; the parent merges all payloads, so counters
-    equal a serial traced run regardless of the pool fan-out.
-    """
-    overrides, seed, _solvers, _base = task
-    label = ",".join(f"{k}={v}" for k, v in overrides.items())
-    tracer = Tracer(f"grid:{label or 'base'}:seed={seed}")
-    with use_tracer(tracer):
-        cells = _solve_grid_cell(task)
-    return cells, tracer.payload()
-
-
 def grid_sweep(
     axes: Mapping[str, Sequence],
     seeds: Sequence[int],
     solver_factories: Mapping[str, Callable[[], object]],
     base: ScenarioParams = ScenarioParams(),
     n_jobs: int = 1,
-    tracer: Optional[Tracer] = None,
 ) -> list[SweepCell]:
     """Run every solver over the cartesian product of ``axes`` × ``seeds``.
 
@@ -121,10 +101,6 @@ def grid_sweep(
     instantiated in the parent (factories may be lambdas, which don't
     pickle) — and the flattened cell order is identical to the serial
     nested loop.
-
-    ``tracer`` defaults to the ambient :mod:`repro.obs` tracer; when
-    enabled, every grid cell is traced in its worker and the payloads
-    are merged back into it.
     """
     if not axes:
         raise ValueError("axes must contain at least one parameter")
@@ -149,29 +125,7 @@ def grid_sweep(
         for combo in itertools.product(*(axes[name] for name in names))
         for seed in seeds
     ]
-    if tracer is None:
-        tracer = current_tracer()
-    if tracer.enabled:
-        pairs = parallel_map(
-            _solve_grid_cell_traced,
-            tasks,
-            n_jobs=n_jobs,
-            min_items_per_worker=1,
-            allow_oversubscribe=True,
-        )
-        out: list[SweepCell] = []
-        for cells, payload in pairs:
-            tracer.merge_payload(payload)
-            out.extend(cells)
-        logger.info("grid_sweep: %d cells solved (traced)", len(out))
-        return out
-    per_cell = parallel_map(
-        _solve_grid_cell,
-        tasks,
-        n_jobs=n_jobs,
-        min_items_per_worker=1,
-        allow_oversubscribe=True,
-    )
+    per_cell = parallel_map(_solve_grid_cell, tasks, n_jobs=n_jobs)
     return [cell for cells in per_cell for cell in cells]
 
 

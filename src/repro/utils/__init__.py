@@ -3,8 +3,8 @@
 These small helpers enforce the repository-wide conventions listed in
 DESIGN.md §6: all randomness flows through explicitly passed
 ``numpy.random.Generator`` objects, wall-clock measurement uses a single
-``Stopwatch`` implementation, and the parallel stages of SoCL use one shared
-process/thread fan-out helper.
+``Stopwatch`` implementation, and every experiment sweep fans its cells
+out through one process-pool helper, ``parallel_map``.
 """
 
 from repro.utils.rng import as_generator, spawn, derive_seed

@@ -50,6 +50,12 @@ class TestParser:
         args = build_parser().parse_args(["trace"])
         assert args.servers == 16 and args.users == 30
 
+    def test_bad_jobs_rejected_at_parse(self):
+        for argv in (["figure", "fig8"], ["sweep"], ["autoscale"], ["resilience"]):
+            assert build_parser().parse_args(argv + ["--jobs", "-1"]).jobs == -1
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--jobs", "-5"])
+
 
 class TestCommands:
     def test_solve(self, capsys):

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core import SoCL
+from repro.experiments.figures import fig8_baselines
 from repro.experiments.harness import sweep
 from repro.experiments.scenarios import ScenarioParams, build_scenario
+from repro.experiments.sweeps import grid_sweep
 from repro.microservices import eshop_application
 from repro.model import ProblemConfig
 from repro.network import stadium_topology
@@ -115,6 +117,15 @@ class TestCliTrace:
 
 
 class TestTracedParallelSweep:
+    """Traced ``n_jobs=2`` runs report the counters of traced serial ones."""
+
+    @staticmethod
+    def _traced(run, n_jobs):
+        tracer = Tracer(f"jobs={n_jobs}")
+        with use_tracer(tracer):
+            out = run(n_jobs)
+        return out, tracer
+
     def test_parallel_counters_match_serial(self):
         instances = [
             (
@@ -123,10 +134,12 @@ class TestTracedParallelSweep:
             )
             for nu in (6, 10)
         ]
-        serial_tracer = Tracer("serial")
-        serial_rows = sweep(instances, tracer=serial_tracer)
-        parallel_tracer = Tracer("parallel")
-        parallel_rows = sweep(instances, n_jobs=2, tracer=parallel_tracer)
+        serial_rows, serial_tracer = self._traced(
+            lambda n: sweep(instances, n_jobs=n), 1
+        )
+        parallel_rows, parallel_tracer = self._traced(
+            lambda n: sweep(instances, n_jobs=n), 2
+        )
         assert serial_tracer.counters == parallel_tracer.counters
         assert [r.algorithm for r in serial_rows] == [
             r.algorithm for r in parallel_rows
@@ -138,6 +151,38 @@ class TestTracedParallelSweep:
         socl_rows = [r for r in parallel_rows if r.algorithm == "SoCL"]
         assert socl_rows
         assert all("partition" in r.stage_times for r in socl_rows)
+        # a cell's root is named after the cell function and its index;
+        # baselines open no span, so only the SoCL cells (last of each
+        # four-solver lineup) graft one
+        assert [r.name for r in serial_tracer.roots] == [
+            r.name for r in parallel_tracer.roots
+        ] == ["_solve_cell[3]", "_solve_cell[7]"]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda n: grid_sweep(
+                axes={"n_users": [6, 10]},
+                seeds=[0],
+                solver_factories={"SoCL": SoCL},
+                base=ScenarioParams(n_servers=6),
+                n_jobs=n,
+            ),
+            lambda n: fig8_baselines(
+                user_scales=(8, 12), n_servers=6, include_gcog=False, n_jobs=n
+            ),
+        ],
+        ids=["grid_sweep", "fig8_baselines"],
+    )
+    def test_generator_counters_match_serial(self, run):
+        serial, serial_tracer = self._traced(run, 1)
+        parallel, parallel_tracer = self._traced(run, 2)
+        assert serial_tracer.counters
+        assert serial_tracer.counters == parallel_tracer.counters
+        assert [r.name for r in serial_tracer.roots] == [
+            r.name for r in parallel_tracer.roots
+        ]
+        assert len(serial) == len(parallel)
 
 
 class TestTraceReport:

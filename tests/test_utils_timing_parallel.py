@@ -1,10 +1,12 @@
 """Tests for repro.utils.timing and repro.utils.parallel."""
 
 import time
+from concurrent.futures import Future
 
 import pytest
 
-from repro.utils.parallel import chunk, effective_workers, parallel_map, serial_map
+from repro.obs import Tracer, current_tracer, use_tracer
+from repro.utils.parallel import chunk, effective_workers, parallel_map
 from repro.utils.timing import Stopwatch, timed
 
 
@@ -99,10 +101,9 @@ class TestEffectiveWorkers:
     def test_minus_one_means_all(self):
         assert effective_workers(-1) == effective_workers(0)
 
-    def test_capped_at_cpu_count(self):
-        import os
-
-        assert effective_workers(10_000) <= (os.cpu_count() or 1)
+    def test_positive_honoured_as_given(self):
+        # resolving a count starts no process, so a large value is safe here
+        assert effective_workers(10_000) == 10_000
 
     def test_invalid_raises(self):
         with pytest.raises(ValueError):
@@ -135,18 +136,70 @@ def _square(x: int) -> int:
     return x * x
 
 
+def _bump(x: int) -> int:
+    tracer = current_tracer()
+    with tracer.span("cell"):
+        tracer.inc("cells")
+        tracer.inc("total", x)
+    return x
+
+
+class _InlineExecutor:
+    """Stand-in for ``ProcessPoolExecutor``: records its size, runs inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    monkeypatch.setattr("repro.utils.parallel.ProcessPoolExecutor", _InlineExecutor)
+    return _InlineExecutor.sizes
+
+
 class TestParallelMap:
     def test_serial_path(self):
         assert parallel_map(_square, [1, 2, 3], n_jobs=1) == [1, 4, 9]
 
-    def test_small_input_falls_back_to_serial(self):
-        # below the min_items_per_worker guard — must not spawn a pool
+    def test_small_input_falls_back_to_serial(self, inline_pool):
+        # fewer than two items never builds a pool
         assert parallel_map(_square, [2], n_jobs=4) == [4]
+        assert inline_pool == []
+
+    def test_pool_capped_at_work(self, inline_pool):
+        # forking starts every max_workers process at once, so a pool
+        # larger than its chunk count would only start idle processes
+        assert parallel_map(_square, [1, 2, 3], n_jobs=8) == [1, 4, 9]
+        assert inline_pool == [3]
 
     def test_process_pool_preserves_order(self):
         items = list(range(64))
         out = parallel_map(_square, items, n_jobs=2)
         assert out == [x * x for x in items]
 
-    def test_serial_map(self):
-        assert serial_map(_square, [3, 4]) == [9, 16]
+    def test_traced_fan_out_matches_serial(self):
+        items = [1, 2, 3, 4]
+        traces = {}
+        for n_jobs in (1, 2):
+            tracer = Tracer(f"jobs={n_jobs}")
+            with use_tracer(tracer):
+                assert parallel_map(_bump, items, n_jobs=n_jobs) == items
+            traces[n_jobs] = tracer
+        assert traces[1].counters == traces[2].counters == {"cells": 4, "total": 10}
+        for tracer in traces.values():
+            assert [r.name for r in tracer.roots] == [f"_bump[{i}]" for i in range(4)]
+            assert all([c.name for c in r.children] == ["cell"] for r in tracer.roots)
