@@ -18,8 +18,7 @@ natural extension:
    storage planning, budget-forced serial merges and the relocation
    polish — all through the tested Alg. 3/5 machinery, skipping the
    partition/pre-provision rebuild;
-3. above the threshold (or every ``full_resolve_every`` slots), fall
-   back to a full SoCL solve;
+3. above the threshold, fall back to a full SoCL solve;
 4. optionally **retain** still-useful previous instances that fit the
    leftover budget/storage (hysteresis against churn);
 5. **route around recent failures**: the simulator reports instances
@@ -84,27 +83,20 @@ class OnlineSoCL:
         self,
         config: SoCLConfig = SoCLConfig(),
         shift_threshold: float = 0.5,
-        full_resolve_every: Optional[int] = None,
         retention: bool = False,
     ):
         if shift_threshold < 0:
             raise ValueError(
                 f"shift_threshold must be non-negative, got {shift_threshold}"
             )
-        if full_resolve_every is not None and full_resolve_every < 1:
-            raise ValueError(
-                f"full_resolve_every must be >= 1, got {full_resolve_every}"
-            )
         self.config = config
         self.shift_threshold = float(shift_threshold)
-        self.full_resolve_every = full_resolve_every
         self.retention = bool(retention)
         self._prev_preference: dict[tuple[int, int], int] = {}
         self._prev_placement: Optional[Placement] = None
         self._prev_demand: Optional[np.ndarray] = None
         self._prev_shape: Optional[tuple[int, int]] = None
         self._recent_failures: set[tuple[int, int]] = set()
-        self._slot = 0
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -114,7 +106,6 @@ class OnlineSoCL:
         self._prev_shape = None
         self._prev_preference = {}
         self._recent_failures = set()
-        self._slot = 0
 
     def note_failures(self, pairs) -> None:
         """Record ``(service, node)`` instances that crashed last slot.
@@ -136,11 +127,6 @@ class OnlineSoCL:
         shape = (instance.n_services, instance.n_servers)
         if shape != self._prev_shape:
             return True, np.inf
-        if (
-            self.full_resolve_every is not None
-            and self._slot % self.full_resolve_every == 0
-        ):
-            return True, 0.0
         shift = demand_shift(self._prev_demand, instance.demand_counts)
         return shift > self.shift_threshold, shift
 
@@ -287,7 +273,6 @@ class OnlineSoCL:
     def solve(self, instance: ProblemInstance) -> BaselineResult:
         sw = Stopwatch()
         sw.start()
-        self._slot += 1
         full, shift = self._should_full_resolve(instance)
 
         repair_info: dict = {}

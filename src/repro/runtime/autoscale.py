@@ -34,9 +34,10 @@ happens at all.
 
 Every decision is deterministic given the observed telemetry, all
 actions are counted under ``runtime.autoscale.*`` (see
-docs/OBSERVABILITY.md), and with ``enabled=False`` (or no autoscaler at
-all) the simulation is **bit-identical** to the static pipeline — the
-contract every runtime layer in this repo honors (docs/RUNTIME.md §8).
+docs/OBSERVABILITY.md), and with no autoscaler attached
+(``autoscaler=None``) the simulation is **bit-identical** to the static
+pipeline — the contract every runtime layer in this repo honors
+(docs/RUNTIME.md §8).
 The full scaling model is documented in docs/AUTOSCALING.md.
 """
 
@@ -76,7 +77,6 @@ class AutoscaleConfig:
     allows scale-to-zero with cloud fallback).  ``max_step`` caps
     replicas added or removed per service per slot.  ``ema_alpha``
     weights the newest observation in the signal smoothing.
-    ``enabled=False`` turns every hook into a no-op (bit-identity).
     """
 
     high_watermark: float = 0.65
@@ -89,7 +89,6 @@ class AutoscaleConfig:
     min_replicas: int = 1
     max_step: int = 1
     ema_alpha: float = 0.6
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         check_probability("high_watermark", self.high_watermark)
@@ -510,8 +509,8 @@ class Autoscaler:
     pure-reactive baseline: after the first slot the solver's placement
     is ignored and the replica set evolves only through feedback —
     combine with :class:`StaticProvisioner` to avoid per-slot solves
-    entirely.  With ``config.enabled=False`` every hook is a no-op and
-    the simulation is bit-identical to running without an autoscaler.
+    entirely.  The loop's off switch is attaching none
+    (``OnlineSimulator(autoscaler=None)``).
     """
 
     def __init__(
@@ -527,11 +526,6 @@ class Autoscaler:
         self.stats = AutoscaleStats()
         self.last_actions: tuple[ScalingAction, ...] = ()
         self._placement: Optional[Placement] = None
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the control loop is active (see the bit-identity contract)."""
-        return self.config.enabled
 
     @property
     def name(self) -> str:
@@ -550,11 +544,8 @@ class Autoscaler:
         Called after the solver commits and before the pool updates.
         Returns the (possibly adjusted) placement and routing plus the
         pool actions (prewarm/evict) to apply once the pool has been
-        re-synced to the returned placement.  A disabled autoscaler
-        returns its inputs untouched.
+        re-synced to the returned placement.
         """
-        if not self.enabled:
-            return placement, routing, ()
         tracer = current_tracer()
         shape = (instance.n_services, instance.n_servers)
         if self.reactive and self._placement is not None and (
@@ -598,8 +589,6 @@ class Autoscaler:
         now: float = 0.0,
     ) -> None:
         """Apply the prewarm/evict subset of ``actions`` to ``pool``."""
-        if not self.enabled:
-            return
         prewarmed, evicted = self.scaler.apply_pool(pool, actions, now)
         self.stats.prewarms += prewarmed
         self.stats.evictions += evicted
@@ -617,8 +606,6 @@ class Autoscaler:
         slot_seconds: float,
     ) -> None:
         """Post-replay hook: fold the completed slot into the monitor."""
-        if not self.enabled:
-            return
         self.monitor.observe(
             instance, routing, cluster, requests, queueing, slot_seconds
         )

@@ -38,7 +38,7 @@ from repro.model.engine import BatchRouter
 from repro.model.instance import ProblemInstance
 from repro.model.placement import Placement, Routing
 from repro.runtime.events import Event, EventQueue
-from repro.runtime.replay import ReplayResult
+from repro.runtime.replay import NODE_CORES, ReplayResult
 from repro.runtime.resilience import ResiliencePolicy, SlotFaults
 from repro.runtime.serverless import InstancePool, ServerlessConfig
 from repro.runtime.shard import replay_slot
@@ -169,7 +169,6 @@ class SimulatedCluster:
         instance: ProblemInstance,
         placement: Placement,
         routing: Routing,
-        cores_per_node: int = 2,
         serverless: Optional[ServerlessConfig] = None,
         pool: Optional[InstancePool] = None,
         faults: Optional[SlotFaults] = None,
@@ -177,7 +176,6 @@ class SimulatedCluster:
         fast_replay: bool = True,
         region_map=None,
     ):
-        check_positive("cores_per_node", cores_per_node)
         self.instance = instance
         self.placement = placement
         self.routing = routing
@@ -190,7 +188,7 @@ class SimulatedCluster:
         self.fast_replay = fast_replay
         self.queue = EventQueue()
         self.nodes = [
-            _Node(k, float(c), cores_per_node)
+            _Node(k, float(c), NODE_CORES)
             for k, c in enumerate(instance.network.compute)
         ]
         self.pool = pool if pool is not None else InstancePool(

@@ -52,6 +52,11 @@ from repro.model.instance import ProblemInstance
 from repro.model.placement import Placement, Routing
 from repro.runtime.serverless import InstancePool
 
+#: Cores of every edge node.  The event loop's ``_Node`` takes any core
+#: count, but the cluster builds every node with this one, and the
+#: fixpoint's FIFO kernels implement only the two-core claim rule.
+NODE_CORES = 2
+
 #: Fixed-point round budget before declining to the event loop.  Light
 #: and moderately loaded slots converge in 2-4 rounds; deeply cascaded
 #: congestion that needs more than this is rare enough to replay
@@ -112,7 +117,6 @@ class ReplayPlan:
     homes: np.ndarray
     n_req: int
     width: int
-    cores: int
     n_nodes: int
     lengths: np.ndarray
     first_ready: np.ndarray
@@ -144,11 +148,11 @@ def build_replay_plan(
 ) -> Optional[ReplayPlan]:
     """Derive the slot-static :class:`ReplayPlan`; ``None`` declines.
 
-    Declines are the replay's eligibility checks: a routing
-    matrix too narrow for the slot, heterogeneous core counts, invalid
-    assignments, non-finite transfer terms or a pool missing a placed
-    group all return ``None`` so the caller can fall back to the event
-    loop.
+    Declines are the replay's eligibility checks: a routing matrix too
+    narrow for the slot, a node without exactly :data:`NODE_CORES`
+    cores, invalid assignments, non-finite transfer terms or a pool
+    missing a placed group all return ``None`` so the caller can fall
+    back to the event loop.
     """
     req = np.asarray(req, dtype=np.int64)
     at = np.asarray(at, dtype=np.float64)
@@ -160,12 +164,8 @@ def build_replay_plan(
     if assign.ndim != 2 or assign.shape[1] < width:
         return None
     n_nodes = len(nodes)
-    if n_nodes:
-        cores = nodes[0].cores
-        if any(nd.cores != cores for nd in nodes):
-            return None
-    else:
-        cores = 1
+    if any(nd.cores != NODE_CORES for nd in nodes):
+        return None
 
     svc = inst.chain_matrix[req, :width]
     asg = assign[req, :width]
@@ -237,7 +237,6 @@ def build_replay_plan(
         homes=homes,
         n_req=n_req,
         width=width,
-        cores=cores,
         n_nodes=n_nodes,
         lengths=lengths,
         first_ready=first_ready,

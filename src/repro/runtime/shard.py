@@ -28,8 +28,11 @@ outputs are **bit-identical** to the event loop
 :func:`replay_slot` is the unsharded entry point: one region holding
 every node.
 
-Within each shard the FIFO core scan is *vectorized*: a conflict-free
-screen (exact max/min prefix dynamics of the two-core claim rule)
+Every edge node has :data:`~repro.runtime.replay.NODE_CORES` (two)
+cores, and every FIFO kernel here implements only the two-core claim
+rule; :func:`~repro.runtime.replay.build_replay_plan` declines any
+other node.  Within each shard the FIFO core scan is *vectorized*: a
+conflict-free screen (exact max/min prefix dynamics of that rule)
 accepts uncontended stretches in O(1) NumPy passes and only the
 congested segments fall back to the scalar claim scan, which is what
 lets a single shard absorb hundreds of thousands of invocations per
@@ -42,7 +45,6 @@ Telemetry counters (``runtime.shard.*``) are documented in
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -54,6 +56,7 @@ from repro.model.instance import ProblemInstance
 from repro.model.placement import Placement, Routing
 from repro.runtime.replay import (
     DEFAULT_MAX_ROUNDS,
+    NODE_CORES,
     ReplayPlan,
     ReplayResult,
     build_replay_plan,
@@ -144,10 +147,10 @@ class RegionMap:
 # ---------------------------------------------------------------------------
 #
 # The scalar claim scan (``_fifo_reference``) walks each node's
-# (ready-sorted) invocations in a Python loop, claiming the earliest-free
-# core.  That loop has a closed
-# pair form: claiming always *replaces the minimum* of the core-free
-# pair, so the pair before job ``k`` is exactly ``{max(0, F[0..k-2]),
+# (ready-sorted) invocations in a Python loop, each claiming the
+# earlier-free of the node's two cores.  That loop has a closed pair
+# form: claiming always *replaces the minimum* of the core-free pair,
+# so the pair before job ``k`` is exactly ``{max(0, F[0..k-2]),
 # F[k-1]}`` — congested or not.  Job ``k``'s start is therefore
 #
 #     start[k] = max(admit[k], min(cummax-lagged(F)[k], F[k-1]))
@@ -185,7 +188,6 @@ _PATCH_LOCKSTEP_CAP = 192
 def _fifo_starts(
     admit: np.ndarray,
     work: np.ndarray,
-    cores: int,
     init: Optional[np.ndarray] = None,
     lo0: int = 0,
 ) -> np.ndarray:
@@ -203,11 +205,10 @@ def _fifo_starts(
     n = int(admit.size)
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    if cores >= 3 or n < 32:
-        starts, _ = _fifo_reference(admit, work, cores)
+    if n < 32:
+        starts, _ = _fifo_reference(admit, work)
         return starts
     starts = admit.copy() if init is None else init.astype(np.float64, copy=True)
-    two = cores == 2
     lo = int(lo0) if init is not None else 0
     if lo >= n:
         return starts
@@ -238,19 +239,16 @@ def _fifo_starts(
             fprev = np.empty(m)
             fprev[0] = s_fprev
             fprev[1:] = F[:-1]
-            if two:
-                s_max = s_kept if s_kept > s_fprev else s_fprev
-                kept = np.empty(m)
-                kept[0] = s_kept
-                if m > 1:
-                    kept[1] = s_max
-                cm = None
-                if m > 2:
-                    cm = np.maximum.accumulate(F[: m - 2])
-                    np.maximum(cm, s_max, out=kept[2:])
-                new = np.maximum(a, np.minimum(kept, fprev))
-            else:
-                new = np.maximum(a, fprev)
+            s_max = s_kept if s_kept > s_fprev else s_fprev
+            kept = np.empty(m)
+            kept[0] = s_kept
+            if m > 1:
+                kept[1] = s_max
+            cm = None
+            if m > 2:
+                cm = np.maximum.accumulate(F[: m - 2])
+                np.maximum(cm, s_max, out=kept[2:])
+            new = np.maximum(a, np.minimum(kept, fprev))
             diff = new != cur
             d0 = int(np.argmax(diff))
             if not diff[d0]:
@@ -260,21 +258,21 @@ def _fifo_starts(
             if d0:
                 # positions before the first change are now final:
                 # advance the window, re-seed from their finish times
-                if two:
-                    if d0 == 1:
-                        s_kept = s_max
-                    else:
-                        assert cm is not None
-                        c = float(cm[d0 - 2])
-                        s_kept = c if c > s_max else s_max
+                if d0 == 1:
+                    s_kept = s_max
+                else:
+                    assert cm is not None
+                    c = float(cm[d0 - 2])
+                    s_kept = c if c > s_max else s_max
                 s_fprev = float(F[d0 - 1])
                 lo += d0
         if not converged:
             # a cascade deeper than the cap: scan the rest of the block;
             # positions before ``lo`` are final, and the core-free pair
-            # there is {max(0, F[0..lo-2]), F[lo-1]} (one core: F[lo-1])
-            seed = [s_kept, s_fprev] if two else [s_fprev]
-            rest, _ = _fifo_reference(admit[lo:hi], work[lo:hi], cores, seed)
+            # there is {max(0, F[0..lo-2]), F[lo-1]}
+            rest, _ = _fifo_reference(
+                admit[lo:hi], work[lo:hi], [s_kept, s_fprev]
+            )
             starts[lo:hi] = rest
         if hi >= n:
             return starts
@@ -293,57 +291,33 @@ def _fifo_starts(
 def _fifo_reference(
     admit: np.ndarray,
     work: np.ndarray,
-    cores: int,
     free: Optional[list[float]] = None,
 ) -> tuple[np.ndarray, list[float]]:
-    """The scalar claim scan (any core count): starts and core_free.
+    """The scalar two-core claim scan: starts and the final core-free pair.
 
-    Each job claims the earliest-free core, ties to the lowest core
-    index (the event loop's ``np.argmin`` rule).  ``free`` is the
-    per-core free time before the first job (all idle at 0 when
-    ``None``).  One and two cores run unrolled loops; more cores pop a
-    ``(free, core_idx)`` heap.
+    Each job claims the earlier-free core, ties to core 0 (the event
+    loop's first-minimum rule).  ``free`` is the ``[f0, f1]`` pair
+    before the first job (both idle at 0 when ``None``).
     """
-    free = [0.0] * cores if free is None else list(free)
+    f0, f1 = (0.0, 0.0) if free is None else free
     starts: list[float] = []
     push = starts.append
-    if cores == 1:
-        (f0,) = free
-        for a, w in zip(admit.tolist(), work.tolist()):
+    for a, w in zip(admit.tolist(), work.tolist()):
+        if f0 <= f1:
             st = a if a > f0 else f0
             f0 = st + w
-            push(st)
-        free = [f0]
-    elif cores == 2:
-        f0, f1 = free
-        for a, w in zip(admit.tolist(), work.tolist()):
-            if f0 <= f1:
-                st = a if a > f0 else f0
-                f0 = st + w
-            else:
-                st = a if a > f1 else f1
-                f1 = st + w
-            push(st)
-        free = [f0, f1]
-    else:
-        heap = [(x, c) for c, x in enumerate(free)]
-        heapq.heapify(heap)
-        for a, w in zip(admit.tolist(), work.tolist()):
-            x, c = heapq.heappop(heap)
-            st = a if a > x else x
-            fin = st + w
-            heapq.heappush(heap, (fin, c))
-            free[c] = fin
-            push(st)
-    return np.array(starts, dtype=np.float64), free
+        else:
+            st = a if a > f1 else f1
+            f1 = st + w
+        push(st)
+    return np.array(starts, dtype=np.float64), [f0, f1]
 
 
 def _fifo_patch(
     admit: np.ndarray,
     work: np.ndarray,
     starts: np.ndarray,
-    P: Optional[np.ndarray],
-    cores: int,
+    P: np.ndarray,
     span_lo: np.ndarray,
     span_hi: np.ndarray,
 ) -> Optional[list[int]]:
@@ -356,11 +330,10 @@ def _fifo_patch(
     directly — no fixpoint sweeps.  The walk carries ``kept = max(0,
     F[0..k-2])`` and ``fprev = F[k-1]`` as scalars, seeds them from the
     untouched prefix and the cached lagged prefix max ``P`` (``P[k] =
-    max(0, F[0..k-1])``, maintained for ``cores == 2``), and stops at
-    the first position past the span whose start and ``P`` entry both
-    come out unchanged: from there on every input to every later
-    position is unchanged, so the old fixpoint stands (earliest
-    possible rejoin).  Pure Python float arithmetic — the same IEEE
+    max(0, F[0..k-1])``), and stops at the first position past the span
+    whose start and ``P`` entry both come out unchanged: from there on
+    every input to every later position is unchanged, so the old
+    fixpoint stands (earliest possible rejoin).  Pure Python float arithmetic — the same IEEE
     doubles as the reference event loop.  ``starts`` and ``P`` are
     updated in place; returns the changed positions, or ``None`` when
     the walk overran its budget (caller falls back to the blocked
@@ -368,7 +341,6 @@ def _fifo_patch(
     are already final, so the fallback's warm init stays sound).
     """
     n = int(admit.size)
-    two = cores == 2
     los = span_lo.tolist()
     his = span_hi.tolist()
     ns = len(los)
@@ -386,7 +358,7 @@ def _fifo_patch(
         lo = a if a > done else done
         if lo > 0:
             fprev = float(starts[lo - 1]) + float(work[lo - 1])
-            kept = float(P[lo - 1]) if two else 0.0
+            kept = float(P[lo - 1])
         else:
             fprev = 0.0
             kept = 0.0
@@ -402,7 +374,7 @@ def _fifo_patch(
             a_l = admit[k:ke].tolist()
             w_l = work[k:ke].tolist()
             s_l = starts[k:ke].tolist()
-            p_l = P[k:ke].tolist() if two else None
+            p_l = P[k:ke].tolist()
             stbuf: list[float] = []
             pbuf: list[float] = []
             i = 0
@@ -414,14 +386,11 @@ def _fifo_patch(
                         bmax = his[si]
                     si += 1
                 nk = kept if kept > fprev else fprev  # next P[kk]
-                if two:
-                    mn = kept if kept < fprev else fprev
-                else:
-                    mn = fprev
+                mn = kept if kept < fprev else fprev
                 ai = a_l[i]
                 s_ = ai if ai > mn else mn
                 so = s_l[i]
-                if kk > bmax and s_ == so and (not two or nk == p_l[i]):
+                if kk > bmax and s_ == so and nk == p_l[i]:
                     stop = True
                     done = kk
                     break
@@ -434,8 +403,7 @@ def _fifo_patch(
                 i += 1
             if i:
                 starts[k : k + i] = stbuf
-                if two:
-                    P[k : k + i] = pbuf
+                P[k : k + i] = pbuf
                 walked += i
                 if walked > budget:
                     return None
@@ -450,8 +418,7 @@ def _fifo_patch_many(
     admit: np.ndarray,
     work: np.ndarray,
     starts: np.ndarray,
-    P: Optional[np.ndarray],
-    cores: int,
+    P: np.ndarray,
     span_lo: np.ndarray,
     span_hi: np.ndarray,
 ) -> Optional[np.ndarray]:
@@ -476,7 +443,6 @@ def _fifo_patch_many(
     """
     n = int(admit.size)
     ns = int(span_lo.size)
-    two = cores == 2
     nxt = np.empty(ns, dtype=np.int64)
     nxt[:-1] = span_lo[1:]
     nxt[-1] = n
@@ -485,8 +451,7 @@ def _fifo_patch_many(
     seeded = span_lo > 0
     pl = span_lo[seeded] - 1
     fprev[seeded] = starts[pl] + work[pl]
-    if two:
-        kept[seeded] = P[pl]
+    kept[seeded] = P[pl]
     kk = span_lo.astype(np.int64, copy=True)
     active = np.ones(ns, dtype=bool)
     finished = np.zeros(ns, dtype=bool)
@@ -517,12 +482,10 @@ def _fifo_patch_many(
         kp = kept[idx]
         fp = fprev[idx]
         nk = np.maximum(kp, fp)
-        mn = np.minimum(kp, fp) if two else fp
+        mn = np.minimum(kp, fp)
         s_ = np.maximum(admit[k_a], mn)
         so = starts[k_a]
-        rej = (k_a > span_hi[idx]) & (s_ == so)
-        if two:
-            rej &= nk == P[k_a]
+        rej = (k_a > span_hi[idx]) & (s_ == so) & (nk == P[k_a])
         if rej.any():
             finished[idx[rej]] = True
             active[idx[rej]] = False
@@ -535,8 +498,7 @@ def _fifo_patch_many(
         if idx.size:
             rec_k.append(k_a)
             rec_s.append(s_)
-            if two:
-                rec_p.append(nk)
+            rec_p.append(nk)
             rec_sid.append(idx)
             rec_ch.append(s_ != so)
             kept[idx] = nk
@@ -549,15 +511,14 @@ def _fifo_patch_many(
         keep = finished[np.concatenate(rec_sid)]
         kc = kall[keep]
         starts[kc] = sall[keep]
-        if two:
-            P[kc] = np.concatenate(rec_p)[keep]
+        P[kc] = np.concatenate(rec_p)[keep]
         chk = kc[np.concatenate(rec_ch)[keep]]
         if chk.size:
             changed_parts.append(chk)
     unfin = ~finished
     if unfin.any():
         wchg = _fifo_patch(
-            admit, work, starts, P, cores, span_lo[unfin], span_hi[unfin]
+            admit, work, starts, P, span_lo[unfin], span_hi[unfin]
         )
         if wchg is None:
             return None
@@ -572,14 +533,12 @@ def _fifo_patch_many(
     )
 
 
-def _core_free_final(
-    starts: np.ndarray, work: np.ndarray, cores: int
-) -> list[float]:
+def _core_free_final(starts: np.ndarray, work: np.ndarray) -> list[float]:
     """Final per-core free times, in core-index order, from the
     committed schedule — bit-identical to the event loop's argmin walk.
 
-    For two cores the claim sequence is reconstructed in closed form:
-    the pair before job ``i`` holds ``{kept_i, F[i-1]}`` with
+    The claim sequence is reconstructed in closed form: the pair
+    before job ``i`` holds ``{kept_i, F[i-1]}`` with
     ``kept_i = max(0, F[0..i-2])``; job ``i`` lands on the newest job's
     core when ``F[i-1] < kept_i`` (no flip), on the other core when
     greater (flip), and on core 0 on an exact value tie (``np.argmin``
@@ -587,15 +546,6 @@ def _core_free_final(
     is then a parity prefix with resets at ties — all NumPy.
     """
     n = int(starts.size)
-    if cores >= 3:
-        _, free = _fifo_reference(starts, work, cores)
-        # note: feeding *starts* as admits reproduces the same claims
-        # because start >= admit never reorders a FIFO claim sequence
-        return free
-    if cores == 1:
-        if n == 0:
-            return [0.0]
-        return [float(starts[-1] + work[-1])]
     if n == 0:
         return [0.0, 0.0]
     F = starts + work
@@ -624,6 +574,16 @@ def _core_free_final(
     return pair
 
 
+def _lagged_finish_max(starts: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``P[k] = max(0, F[0..k-1])`` over the finish times ``F = starts +
+    work`` (length ``n + 1``): the seeds of the patch walks."""
+    P = np.empty(starts.size + 1)
+    P[0] = 0.0
+    np.add(starts, work, out=P[1:])
+    np.maximum.accumulate(P[1:], out=P[1:])
+    return P
+
+
 # ---------------------------------------------------------------------------
 # Shard slices and per-shard state
 # ---------------------------------------------------------------------------
@@ -647,7 +607,6 @@ class ShardSlice:
     region: int
     n_regions: int
     width: int
-    cores: int
     rows: np.ndarray            # global row positions (ascending)
     at_rows: np.ndarray
     lengths: np.ndarray
@@ -695,7 +654,6 @@ class ShardSlice:
             region=region,
             n_regions=region_map.n_regions,
             width=plan.width,
-            cores=plan.cores,
             rows=rows,
             at_rows=plan.at[rows],
             lengths=plan.lengths[rows],
@@ -778,7 +736,7 @@ class _NodeCache:
     # group's block sorted ascending (= per-group warmth chain order)
     gmoff: np.ndarray  # group g's block is gmo[gmoff[g]:gmoff[g + 1]]
     ties: int  # count of same-value adjacent pairs in ``r_s``
-    P: Optional[np.ndarray]  # lagged prefix max of finish (cores == 2)
+    P: np.ndarray  # lagged prefix max of finish: P[k] = max(0, F[0..k-1])
 
 
 class _ShardTelemetry:
@@ -1171,7 +1129,7 @@ class RegionShard:
                     gvals[kor], np.arange(slc.groups.size + 1)
                 ),
                 ties=int(np.count_nonzero(r_s[1:] == r_s[:-1])),
-                P=None,
+                P=np.empty(0),  # set by the FIFO solve below
             )
             self._node_cache[v] = cache
         tel = self._telemetry
@@ -1236,15 +1194,8 @@ class RegionShard:
         if rebuild:
             cache.adm = r_s + cache.pen_s
             init = None if first else cache.st_s
-            starts = _fifo_starts(cache.adm, cache.w_s, slc.cores, init, 0)
-            cache.st_s = starts
-            if slc.cores == 2:
-                P = np.empty(m + 1)
-                P[0] = 0.0
-                if m:
-                    np.add(starts, cache.w_s, out=P[1:])
-                    np.maximum.accumulate(P[1:], out=P[1:])
-                cache.P = P
+            cache.st_s = _fifo_starts(cache.adm, cache.w_s, init, 0)
+            cache.P = _lagged_finish_max(cache.st_s, cache.w_s)
             cand_parts = [np.arange(m)]
         else:
             # only positions with a changed ready or penalty can have a
@@ -1269,31 +1220,19 @@ class RegionShard:
                 fa = a2[head2]
                 fb = np.maximum.reduceat(b2, np.nonzero(head2)[0])
             wchg = None
-            if slc.cores <= 2 and m >= 32:
+            if m >= 32:
                 wchg = _fifo_patch_many(
-                    cache.adm,
-                    cache.w_s,
-                    cache.st_s,
-                    cache.P,
-                    slc.cores,
-                    fa,
-                    fb,
+                    cache.adm, cache.w_s, cache.st_s, cache.P, fa, fb
                 )
             if wchg is None:
-                # walk overran its budget (deep cascade) or many-core
-                # node: full warm solve — the prefix before the first
-                # affected span is final
+                # short node, or the walk overran its budget (deep
+                # cascade): full warm solve — the prefix before the
+                # first affected span is final
                 lo0 = int(fa[0])
-                starts = _fifo_starts(
-                    cache.adm, cache.w_s, slc.cores, cache.st_s, lo0
+                cache.st_s = _fifo_starts(
+                    cache.adm, cache.w_s, cache.st_s, lo0
                 )
-                cache.st_s = starts
-                if slc.cores == 2:
-                    P = np.empty(m + 1)
-                    P[0] = 0.0
-                    np.add(starts, cache.w_s, out=P[1:])
-                    np.maximum.accumulate(P[1:], out=P[1:])
-                    cache.P = P
+                cache.P = _lagged_finish_max(cache.st_s, cache.w_s)
                 cand_parts = [np.arange(lo0, m)]
             else:
                 # the walk visits (and start-compares) every span
@@ -1576,7 +1515,7 @@ class RegionShard:
             cache = self._node_cache.get(v)
             if cache is None:  # node never had an invocation
                 busy[v] = 0.0
-                core_free[v] = [0.0] * slc.cores
+                core_free[v] = [0.0] * NODE_CORES
                 continue
             # the cache already holds the converged claim-order state;
             # ``add.accumulate`` is a strict left-to-right chain — the
@@ -1587,9 +1526,7 @@ class RegionShard:
                 if cache.w_s.size
                 else 0.0
             )
-            core_free[v] = _core_free_final(
-                cache.st_s, cache.w_s, slc.cores
-            )
+            core_free[v] = _core_free_final(cache.st_s, cache.w_s)
         pool_updates = {}
         for g, key in enumerate(slc.groups.tolist()):
             svc_g, node_g = divmod(key, int(slc.M))
@@ -1739,7 +1676,6 @@ def commit_sharded(
     nodes: Sequence,
     req: np.ndarray,
     at: np.ndarray,
-    cores: int,
 ) -> ShardedReplayResult:
     """Merge shard commits into the global result and advance state."""
     n_req = int(req.size)
@@ -1757,9 +1693,7 @@ def commit_sharded(
         total_warm += c.n_warm
         for v, b in c.busy.items():
             nodes[v].busy_time += b
-            free = c.core_free[v]
-            for ci in range(cores):
-                nodes[v].core_free[ci] = free[ci]
+            nodes[v].core_free[:] = c.core_free[v]
     if pool_updates:
         pool.commit_batch(pool_updates, total_cold, total_warm)
     result = ReplayResult(
@@ -1861,8 +1795,7 @@ def replay_slot_sharded(
     commits, stats = run_sharded_rounds([RegionShard(s) for s in slices])
     if commits is None:
         return None
-    cores = slices[0].cores
-    return commit_sharded(commits, stats, pool, nodes, req, at, cores)
+    return commit_sharded(commits, stats, pool, nodes, req, at)
 
 
 def replay_slot(

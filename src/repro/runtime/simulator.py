@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -201,9 +201,9 @@ class OnlineSimulator:
         #: reactive feedback-control loop over the serverless pools.
         #: Hooked at the slot boundary: ``adjust`` after the solver
         #: commits (replica deltas + warm-pool actions), ``observe``
-        #: after replay (utilization/queueing signals).  ``None`` (or a
-        #: disabled autoscaler) leaves every slot bit-identical to the
-        #: static pipeline (docs/AUTOSCALING.md).
+        #: after replay (utilization/queueing signals).  ``None`` leaves
+        #: every slot bit-identical to the static pipeline
+        #: (docs/AUTOSCALING.md).
         self.autoscaler = autoscaler
         rng = as_generator(seed)
         self._mobility_rng, self._workload_rng, self._arrival_rng = spawn(rng, 3)
@@ -243,7 +243,7 @@ class OnlineSimulator:
                 shard_stats.exchange_rounds
             )
         asc = self.autoscaler
-        if asc is not None and asc.enabled:
+        if asc is not None:
             fields["autoscale_provisioned"] = float(record.n_provisioned)
             fields["autoscale_warm"] = float(record.n_warm)
             fields["autoscale_scale_ups"] = float(asc.stats.scale_ups)
@@ -285,12 +285,12 @@ class OnlineSimulator:
         ``None``, which leaves every placement, routing, and objective
         bit-identical to the fault-free simulation.
 
-        When the simulator was constructed with an enabled
-        ``autoscaler`` (:mod:`repro.runtime.autoscale`), each slot
-        additionally runs the feedback loop: replica deltas and
-        warm-pool actions after the solver commits, telemetry
-        observation after replay (docs/AUTOSCALING.md).  Absent or
-        disabled, the same bit-identity contract applies.
+        When the simulator was constructed with an ``autoscaler``
+        (:mod:`repro.runtime.autoscale`), each slot additionally runs
+        the feedback loop: replica deltas and warm-pool actions after
+        the solver commits, telemetry observation after replay
+        (docs/AUTOSCALING.md).  Without one, the same bit-identity
+        contract applies.
 
         Every slot draws from the RNG streams in one fixed order:
         mobility step, arrival choice, request generation, fault draw,
@@ -302,7 +302,7 @@ class OnlineSimulator:
             mode="exact" if self.exact_latencies else "auto"
         )
         resilient = faults is not None or resilience is not None
-        autoscaling = self.autoscaler is not None and self.autoscaler.enabled
+        autoscaling = self.autoscaler is not None
         prev_homes = self.mobility.homes
         pool: Optional[InstancePool] = None
         records: list[SlotRecord] = []
@@ -526,22 +526,10 @@ class OnlineSimulator:
         active = self._arrival_rng.choice(
             self.workload.n_users, size=n_active, replace=False
         )
-        spec = WorkloadSpec(
-            n_users=n_active,
-            hotspot_fraction=self.workload.hotspot_fraction,
-            hotspot_weight=self.workload.hotspot_weight,
-            length_bias=self.workload.length_bias,
-            min_chain=self.workload.min_chain,
-            max_chain=self.workload.max_chain,
-            data_in_range=self.workload.data_in_range,
-            data_out_range=self.workload.data_out_range,
-            edge_noise=self.workload.edge_noise,
-            data_scale=self.workload.data_scale,
-        )
         requests = generate_requests(
             self.network,
             self.app,
-            spec,
+            replace(self.workload, n_users=n_active),
             rng=self._workload_rng,
             homes=homes[active],
         )

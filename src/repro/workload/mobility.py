@@ -8,8 +8,8 @@ fidelity:
 * **discrete** (paper-faithful) — each step, a user either stays or jumps
   to a random *neighboring* edge server with probability ``move_prob``;
 * **planar** — users move toward waypoints in the plane at a sampled
-  speed and are associated with the nearest base station (used by the
-  stadium scenario example).
+  speed and are associated with the nearest base station (only the
+  tests use it; every experiment runs discrete mode).
 
 Both produce, per time slot, the home-server vector consumed by
 :func:`repro.workload.users.generate_requests`.

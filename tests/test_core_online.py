@@ -70,18 +70,6 @@ class TestOnlineSoCL:
         res = solver.solve(make_instance(components, rng=rng))
         assert res.extra["mode"] == "full"
 
-    def test_periodic_full_resolve(self, components):
-        solver = OnlineSoCL(shift_threshold=10.0, full_resolve_every=2)
-        rng = np.random.default_rng(0)
-        modes = [
-            solver.solve(make_instance(components, rng=rng)).extra["mode"]
-            for _ in range(4)
-        ]
-        # slots 1..4; slots where (slot-1) % 2 == 0 → full (slot counter
-        # increments before the check, so slots 2 and 4 are forced full)
-        assert modes[0] == "full"
-        assert "full" in modes[1:]
-
     def test_incremental_quality_close_to_full(self, components):
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
@@ -185,8 +173,6 @@ class TestOnlineSoCL:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             OnlineSoCL(shift_threshold=-1.0)
-        with pytest.raises(ValueError):
-            OnlineSoCL(full_resolve_every=0)
 
 
 class TestRetention:

@@ -47,7 +47,6 @@ class TestLoadAwareRouting:
         def queueing(routing):
             cluster = SimulatedCluster(
                 medium_instance, p, routing,
-                cores_per_node=1,
                 serverless=ServerlessConfig(cold_start=0.0),
             )
             cluster.run()  # simultaneous arrivals = worst-case contention

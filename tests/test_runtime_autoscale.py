@@ -275,24 +275,6 @@ class TestMonitor:
 
 
 class TestBitIdentity:
-    def test_disabled_autoscaler_is_bit_identical(self, sim_components):
-        """The contract of docs/RUNTIME.md §8: ``autoscaler=None`` and a
-        disabled autoscaler produce byte-equal per-slot results."""
-        net, app, cfg, spec = sim_components
-        base = OnlineSimulator(net, app, cfg, spec, seed=7).run(SoCL(), n_slots=3)
-        off = OnlineSimulator(
-            net, app, cfg, spec, seed=7,
-            autoscaler=Autoscaler(AutoscaleConfig(enabled=False)),
-        ).run(SoCL(), n_slots=3)
-        assert np.array_equal(base.slot_means(), off.slot_means())
-        for a, b in zip(base.slots, off.slots):
-            assert a.objective == b.objective
-            assert a.mean_latency == b.mean_latency
-            assert a.max_latency == b.max_latency
-            assert a.cold_starts == b.cold_starts
-            assert b.n_scale_ups == b.n_scale_downs == 0
-            assert b.n_prewarms == b.n_pool_evictions == 0
-
     def test_enabled_autoscaler_records_activity(self, sim_components):
         net, app, cfg, spec = sim_components
         asc = Autoscaler(AutoscaleConfig())

@@ -48,13 +48,13 @@ class TestSimulatedCluster:
             assert o.queueing == 0.0
 
     def test_contention_adds_queueing(self, tiny_instance):
-        # force every request through node 0 with 1 core → queueing
+        # force every request through node 0 → queueing
         placement = Placement.from_pairs(
             tiny_instance, [(0, 0), (1, 0), (2, 0)]
         )
         routing = optimal_routing(tiny_instance, placement)
         cluster = SimulatedCluster(
-            tiny_instance, placement, routing, cores_per_node=1,
+            tiny_instance, placement, routing,
             serverless=ServerlessConfig(cold_start=0.0),
         )
         outcomes = cluster.run()  # simultaneous arrivals at t=0
@@ -63,21 +63,6 @@ class TestSimulatedCluster:
         analytic = total_latency(tiny_instance, routing, model="chain")
         for o in outcomes:
             assert o.latency >= analytic[o.request] - 1e-9
-
-    def test_more_cores_less_queueing(self, tiny_instance):
-        placement = Placement.from_pairs(
-            tiny_instance, [(0, 0), (1, 0), (2, 0)]
-        )
-        routing = optimal_routing(tiny_instance, placement)
-
-        def run(cores):
-            c = SimulatedCluster(
-                tiny_instance, placement, routing, cores_per_node=cores,
-                serverless=ServerlessConfig(cold_start=0.0),
-            )
-            return sum(o.queueing for o in c.run())
-
-        assert run(4) <= run(1)
 
     def test_cold_starts_counted(self, tiny_instance, solved_tiny):
         placement, routing = solved_tiny

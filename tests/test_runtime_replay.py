@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.scenarios import ScenarioParams, build_scenario
 from repro.model import Placement, optimal_routing
 from repro.runtime import ServerlessConfig, SimulatedCluster
-from repro.runtime.replay import ReplayResult
+from repro.runtime.cluster import _Node
+from repro.runtime.replay import NODE_CORES, ReplayResult
 from repro.runtime.resilience import (
     FaultConfig,
     FaultInjector,
@@ -37,7 +38,7 @@ def _solved(seed: int, n_users: int, n_servers: int = 6, keep: float = 1.0):
     return inst, placement, routing
 
 
-def _run_pair(inst, placement, routing, arrivals, cores, serverless):
+def _run_pair(inst, placement, routing, arrivals, serverless):
     """Run the same slot through both paths on independent state."""
     outs = []
     clusters = []
@@ -46,7 +47,6 @@ def _run_pair(inst, placement, routing, arrivals, cores, serverless):
             inst,
             placement,
             routing,
-            cores_per_node=cores,
             serverless=serverless,
             fast_replay=fast,
         )
@@ -60,14 +60,13 @@ class TestReplayEquivalence:
     @given(
         seed=st.integers(min_value=0, max_value=40),
         n_users=st.integers(min_value=1, max_value=10),
-        cores=st.integers(min_value=1, max_value=3),
         span=st.floats(min_value=0.5, max_value=50.0),
         cold=st.floats(min_value=0.0, max_value=2.0),
         keep_alive=st.floats(min_value=0.1, max_value=30.0),
         keep=st.sampled_from([1.0, 0.7]),
     )
     def test_bit_identical_to_event_loop(
-        self, seed, n_users, cores, span, cold, keep_alive, keep
+        self, seed, n_users, span, cold, keep_alive, keep
     ):
         """Property: latencies, queueing, cold starts, pool counters and
         node utilization all match the event loop exactly."""
@@ -77,7 +76,7 @@ class TestReplayEquivalence:
         arrivals = [(h, float(at[h])) for h in range(inst.n_requests)]
         serverless = ServerlessConfig(cold_start=cold, keep_alive=keep_alive)
         (fast, slow), (cf, cs) = _run_pair(
-            inst, placement, routing, arrivals, cores, serverless
+            inst, placement, routing, arrivals, serverless
         )
         # with continuous arrival times the fast path should engage
         assert cf.queue.processed == 0
@@ -100,11 +99,8 @@ class TestReplayEquivalence:
             assert np.array_equal(na.core_free, nb.core_free)
 
     @settings(max_examples=10, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=20),
-        cores=st.integers(min_value=1, max_value=2),
-    )
-    def test_multi_slot_warm_carry(self, seed, cores):
+    @given(seed=st.integers(min_value=0, max_value=20))
+    def test_multi_slot_warm_carry(self, seed):
         """Keep-alive state carried across slots through a shared pool
         stays bit-identical between the two paths."""
         inst, placement, routing = _solved(seed, n_users=6)
@@ -123,7 +119,6 @@ class TestReplayEquivalence:
                     inst,
                     placement,
                     routing,
-                    cores_per_node=cores,
                     pool=pool,
                     fast_replay=fast,
                 )
@@ -180,6 +175,33 @@ class TestReplayDeclines:
         cluster = SimulatedCluster(inst, placement, routing)
         cluster.run(arrivals=[(0, 0.0)])
         assert cluster.replay([1.0], requests=[1]) is None
+
+    def test_non_two_core_nodes_decline_untouched(self):
+        """The fixpoint implements only the two-core claim rule: a node
+        with any other core count declines the slot, mutating nothing."""
+        inst, placement, routing = _solved(seed=2, n_users=6)
+        pool = InstancePool(
+            placement, ServerlessConfig(cold_start=0.5, keep_alive=2.0)
+        )
+        svc, node = next(iter(placement.pairs()))
+        pool.prewarm(svc, node, 0.0)
+        before = (pool.cold_starts, pool.warm_hits, dict(pool._last_used))
+        req = np.arange(inst.n_requests)
+        at = np.random.default_rng(2).uniform(0.0, 9.0, size=req.size)
+        compute = inst.network.compute
+        nodes = [_Node(k, float(c), 3) for k, c in enumerate(compute)]
+        assert replay_slot(
+            inst, placement, routing, pool, nodes, req, at
+        ) is None
+        assert (pool.cold_starts, pool.warm_hits, pool._last_used) == before
+        for nd in nodes:
+            assert nd.core_free == [0.0, 0.0, 0.0]
+            assert nd.busy_time == 0.0
+        # the same slot on the cluster's two-core nodes commits
+        nodes = [_Node(k, float(c), NODE_CORES) for k, c in enumerate(compute)]
+        assert replay_slot(
+            inst, placement, routing, pool, nodes, req, at
+        ) is not None
 
     def test_disabled_flag_skips_replay(self):
         inst, placement, routing = _solved(seed=3, n_users=4)

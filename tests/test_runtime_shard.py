@@ -18,6 +18,7 @@ from repro.experiments.scenarios import ScenarioParams, build_scenario
 from repro.model import Placement, optimal_routing
 from repro.runtime import ServerlessConfig, SimulatedCluster
 from repro.runtime import shard
+from repro.runtime.replay import NODE_CORES
 from repro.runtime.serverless import InstancePool
 from repro.runtime.shard import (
     RegionMap,
@@ -116,17 +117,16 @@ class TestFifoKernel:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         n=st.integers(min_value=0, max_value=400),
-        cores=st.integers(min_value=1, max_value=3),
         quantize=st.booleans(),
         load=st.sampled_from([0.3, 0.9, 3.0]),
         warm=st.booleans(),
         block=st.sampled_from([16, shard.FIFO_BLOCK]),
     )
     def test_matches_reference_scan(
-        self, seed, n, cores, quantize, load, warm, block
+        self, seed, n, quantize, load, warm, block
     ):
-        """Property: the scalar scan (unrolled for one and two cores)
-        and the vectorized kernel reproduce a plain heap scan exactly —
+        """Property: the scalar two-core scan and the vectorized kernel
+        reproduce a plain heap scan over two cores exactly —
         ties, light load, and saturated cascades deeper than the sweep
         cap included — from a cold or an arbitrary warm start, in one
         block or many."""
@@ -136,20 +136,20 @@ class TestFifoKernel:
         if quantize:
             base = np.round(base * 2) / 2  # force exact duplicate admits
         admit = np.sort(base)
-        work = gen.uniform(0.0, 0.2 * load * cores, size=n)
-        want_starts, want_free = _heap_scan(admit, work, cores)
-        ref_starts, ref_free = _fifo_reference(admit, work, cores)
+        work = gen.uniform(0.0, 0.2 * load * NODE_CORES, size=n)
+        want_starts, want_free = _heap_scan(admit, work, NODE_CORES)
+        ref_starts, ref_free = _fifo_reference(admit, work)
         assert ref_starts.tobytes() == want_starts.tobytes()
         assert ref_free == want_free
         init = admit + gen.uniform(0, 1, size=n) if warm else None
         default_block = shard.FIFO_BLOCK
         shard.FIFO_BLOCK = block
         try:
-            fast_starts = _fifo_starts(admit, work, cores, init)
+            fast_starts = _fifo_starts(admit, work, init)
         finally:
             shard.FIFO_BLOCK = default_block
         assert fast_starts.tobytes() == want_starts.tobytes()
-        assert _core_free_final(fast_starts, work, cores) == want_free
+        assert _core_free_final(fast_starts, work) == want_free
 
 
 # ---------------------------------------------------------------------------
