@@ -1,7 +1,7 @@
 """Online provisioning under user mobility — the Fig. 10 experiment.
 
-50 users move among 16 edge nodes (random waypoint) and issue requests
-every 5-minute slot; each algorithm re-provisions per slot and the
+50 users hop among neighbouring edge nodes of a 16-node network and issue
+requests every 5-minute slot; each algorithm re-provisions per slot and the
 discrete-event cluster replays the traffic, with the warm-instance pool
 carried across slots so placement churn surfaces as cold starts.
 

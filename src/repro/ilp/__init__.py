@@ -20,12 +20,6 @@ from repro.ilp.formulation import ILPFormulation, build_formulation
 from repro.ilp.scipy_backend import solve_milp, MilpResult
 from repro.ilp.bnb import branch_and_bound, BnBResult
 from repro.ilp.solution import extract_solution
-from repro.ilp.backends import (
-    available_backends,
-    register_backend,
-    unregister_backend,
-    solve_with,
-)
 
 __all__ = [
     "ILPFormulation",
@@ -35,8 +29,4 @@ __all__ = [
     "branch_and_bound",
     "BnBResult",
     "extract_solution",
-    "available_backends",
-    "register_backend",
-    "unregister_backend",
-    "solve_with",
 ]

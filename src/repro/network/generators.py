@@ -20,7 +20,7 @@ from repro.network.topology import EdgeNetwork, EdgeServer, Link
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_probability
 
-#: Approximate planar extent (km) of the area around the National Stadium
+#: Approximate side length (km) of the area around the National Stadium
 #: used for base-station placement.  Purely a coordinate scale.
 STADIUM_EXTENT_KM = 4.0
 

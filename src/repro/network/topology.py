@@ -37,8 +37,8 @@ class EdgeServer:
     storage:
         Storage capacity ``Φ(v_k)`` in abstract storage units.
     position:
-        Planar coordinates used by topology generators and the mobility
-        model; purely geometric, never consumed by the optimizer itself.
+        Planar coordinates used by topology generators and the replay's
+        region map; purely geometric, never consumed by the optimizer itself.
     name:
         Human-readable label.
     """

@@ -1,7 +1,7 @@
 """Time-slotted online simulation driver (paper Figs. 9-10, §V.C).
 
-Reproduces the 4-hour trace experiment: users move among edge nodes
-(random waypoint), issue requests each ~5-minute slot with stochastic
+Reproduces the 4-hour trace experiment: users hop among neighbouring
+edge nodes, issue requests each ~5-minute slot with stochastic
 service dependencies, and the provisioning algorithm re-runs every slot
 on the *observed* state — SoCL's "one-shot decision-making" with no
 knowledge of future arrivals.  Each slot's requests are then replayed

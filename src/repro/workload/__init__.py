@@ -3,7 +3,7 @@
 Covers the user side of the paper's system model: user requests
 ``u_h = {M_h, E_h}`` (chains of microservices with per-edge data flows),
 their spatial association with edge servers (``U_k``), the time-varying
-request-volume traces that motivate the work (Fig. 4), random-waypoint
+request-volume traces that motivate the work (Fig. 4), neighbour-hop
 user mobility for the 4-hour Kubernetes trace experiment (Fig. 10), and
 an Alibaba-cluster-style call-graph synthesizer with the similarity
 analysis of Fig. 3.

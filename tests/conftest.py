@@ -9,6 +9,7 @@ from repro.microservices import Application, Microservice, eshop_application
 from repro.model import ProblemConfig, ProblemInstance
 from repro.network import EdgeNetwork, EdgeServer, Link, grid_topology
 from repro.workload import UserRequest, WorkloadSpec, generate_requests
+from tests.reference_mobility import PerUserMobility
 from tests.reference_requests import per_user_requests
 
 
@@ -86,17 +87,22 @@ def medium_instance(eshop_app) -> ProblemInstance:
 
 @pytest.fixture
 def per_user_stream(monkeypatch):
-    """Draw the simulator's and the scenarios' requests per user.
+    """Draw the simulator's and the scenarios' inputs per user.
 
     The engine golden digests were recorded on the per-user request
-    stream (``tests/reference_requests.py``); this keeps their inputs
-    fixed while the library samples from the chain catalog.
+    stream (``tests/reference_requests.py``) and the per-user mobility
+    stream (``tests/reference_mobility.py``); this keeps their inputs
+    fixed while the library samples from the chain catalog and draws
+    every mover's hop at once.
     """
     monkeypatch.setattr(
         "repro.runtime.simulator.generate_requests", per_user_requests
     )
     monkeypatch.setattr(
         "repro.experiments.scenarios.generate_requests", per_user_requests
+    )
+    monkeypatch.setattr(
+        "repro.runtime.simulator.RandomWaypointMobility", PerUserMobility
     )
 
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from repro.network import grid_topology
+from repro.network import EdgeNetwork, EdgeServer, Link, grid_topology
 from repro.workload import RandomWaypointMobility, TemporalTrace, generate_arrivals
 from repro.workload.trace import diurnal_rate
 
@@ -95,11 +96,12 @@ class TestMobility:
         assert mob.homes.min() >= 0 and mob.homes.max() < net.n
 
     def test_discrete_moves_to_neighbors(self, net):
-        mob = RandomWaypointMobility(net, 50, move_prob=1.0, seed=0)
-        before = mob.homes
-        after = mob.step()
-        for b, a in zip(before, after):
-            if b != a:
+        # move_prob=1 and no isolated node: every user hops to a neighbour
+        mob = RandomWaypointMobility(net, 200, move_prob=1.0, seed=0)
+        for _ in range(3):
+            before = mob.homes
+            after = mob.step()
+            for b, a in zip(before, after):
                 assert a in net.neighbors(int(b))
 
     def test_zero_move_prob_is_static(self, net):
@@ -108,39 +110,45 @@ class TestMobility:
         after = mob.step()
         assert np.array_equal(before, after)
 
-    def test_run_shape(self, net):
-        mob = RandomWaypointMobility(net, 10, seed=0)
-        homes = mob.run(5)
-        assert homes.shape == (5, 10)
-
-    def test_planar_mode(self, net):
-        mob = RandomWaypointMobility(net, 15, mode="planar", seed=0)
-        homes = mob.run(10)
-        assert homes.min() >= 0 and homes.max() < net.n
-
-    def test_planar_eventually_moves(self, net):
-        mob = RandomWaypointMobility(
-            net, 30, mode="planar", speed_range=(1.0, 2.0), seed=0
-        )
-        h = mob.run(20)
-        assert (h[0] != h[-1]).any()
-
-    def test_churn(self, net):
-        mob = RandomWaypointMobility(net, 10, seed=0)
-        assert mob.churn(np.array([1, 2, 3]), np.array([1, 2, 4])) == pytest.approx(
-            1 / 3
-        )
-
-    def test_churn_shape_mismatch(self, net):
-        mob = RandomWaypointMobility(net, 10, seed=0)
-        with pytest.raises(ValueError):
-            mob.churn(np.array([1]), np.array([1, 2]))
-
     def test_deterministic(self, net):
-        a = RandomWaypointMobility(net, 10, seed=3).run(5)
-        b = RandomWaypointMobility(net, 10, seed=3).run(5)
-        assert np.array_equal(a, b)
+        a = RandomWaypointMobility(net, 50, seed=3)
+        b = RandomWaypointMobility(net, 50, seed=3)
+        assert np.array_equal(a.homes, b.homes)
+        for _ in range(5):
+            assert np.array_equal(a.step(), b.step())
 
-    def test_invalid_mode(self, net):
-        with pytest.raises(ValueError, match="mode"):
-            RandomWaypointMobility(net, 10, mode="teleport")
+    def test_hop_distribution(self, net):
+        """One step from a single node matches the closed form.
+
+        Stay with probability ``1 - move_prob``, otherwise a uniform
+        neighbour: a chi-square test at a fixed seed over the stay
+        outcome and each neighbour, and no mass anywhere else.
+        """
+        n_users, move_prob, start = 20_000, 0.3, 4
+        mob = RandomWaypointMobility(net, n_users, move_prob=move_prob, seed=7)
+        mob._homes[:] = start
+        counts = np.bincount(mob.step(), minlength=net.n)
+        nbrs = net.neighbors(start)
+        assert nbrs.size == 4
+        outcomes = np.concatenate(([start], nbrs))
+        assert counts[outcomes].sum() == n_users
+        expected = n_users * np.concatenate(
+            ([1.0 - move_prob], np.full(nbrs.size, move_prob / nbrs.size))
+        )
+        _, p = stats.chisquare(counts[outcomes], expected)
+        assert p > 0.01
+
+    def test_isolated_node_stays(self):
+        # server 0 has no links; servers 1 and 2 are linked
+        servers = [
+            EdgeServer(k, compute=10.0, storage=10.0, position=(k, 0))
+            for k in range(3)
+        ]
+        net = EdgeNetwork(servers, [Link(1, 2, bandwidth=10.0)])
+        mob = RandomWaypointMobility(net, 100, move_prob=1.0, seed=0)
+        mob._homes[:50] = 0
+        mob._homes[50:] = 1
+        for _ in range(3):
+            homes = mob.step()
+            assert (homes[:50] == 0).all()
+            assert (homes[50:] != 0).all()
