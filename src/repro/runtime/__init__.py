@@ -5,7 +5,6 @@ nodes + 1 master) with users issuing requests every ~5 minutes over 4
 hours (Figs. 9-10).  Per DESIGN.md §2 we reproduce that environment with
 a discrete-event simulation:
 
-* :mod:`repro.runtime.events` — minimal deterministic DES engine;
 * :mod:`repro.runtime.serverless` — cold/warm instance lifecycle with
   keep-alive expiry (the "warm instances in the nearby area" the paper's
   storage planning enables);
@@ -18,7 +17,8 @@ a discrete-event simulation:
   one region;
 * :mod:`repro.runtime.cluster` — edge nodes with FIFO compute queues,
   network transfers over the substrate topology, a master that dispatches
-  requests along their routed chains and records latency;
+  requests along their routed chains and records latency, all on the
+  cluster's own deterministic discrete-event loop;
 * :mod:`repro.runtime.simulator` — the time-slotted online driver:
   mobility moves users each slot, the provisioning algorithm re-runs,
   and the cluster replays the slot's requests;
@@ -37,7 +37,6 @@ a discrete-event simulation:
 The full runtime model is documented in ``docs/RUNTIME.md``.
 """
 
-from repro.runtime.events import EventQueue, Event
 from repro.runtime.serverless import InstancePool, InstanceState, ServerlessConfig
 from repro.runtime.cluster import SimulatedCluster, RequestOutcome
 from repro.runtime.replay import ReplayResult
@@ -69,8 +68,6 @@ from repro.runtime.resilience import (
 )
 
 __all__ = [
-    "EventQueue",
-    "Event",
     "InstancePool",
     "InstanceState",
     "ServerlessConfig",

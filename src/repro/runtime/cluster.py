@@ -12,6 +12,14 @@ and records the end-to-end completion time.  Cold starts from
 requests whose service has no edge instance detour to the cloud with
 the instance's configured WAN transfer cost.
 
+Requests run on the cluster's own discrete-event loop: a binary heap of
+plain tuples ordered by ``(time, seq)``, ``seq`` a per-cluster counter,
+each dispatched inline as one of three kinds (a request arrives, an
+invocation is admitted at its node, a result reaches home).  Fault-free
+slots usually skip the loop: :meth:`SimulatedCluster.replay` commits
+the same outcomes through the fixpoint engine of
+:mod:`repro.runtime.shard`.
+
 The optional resilience layer (:mod:`repro.runtime.resilience`) adds
 request-level faults and the policies that absorb them: degraded links
 multiply transfer times, crashed instances reject invocations, and a
@@ -19,7 +27,8 @@ multiply transfer times, crashed instances reject invocations, and a
 failures into bounded retries with exponential backoff, hedged
 re-routing to the next-best surviving instance (via the incremental
 :class:`repro.model.engine.BatchRouter`), per-request timeouts derived
-from the Eq.-4 deadline, and admission-time shedding.  Without faults
+from the Eq.-4 deadline (a due time each entry of the request carries,
+checked as the entry pops), and admission-time shedding.  Without faults
 and policy the cluster is bit-identical to the pre-resilience code
 path.
 
@@ -29,20 +38,25 @@ purely from request overlap (and the injected fault realization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import heapq
+import itertools
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.model.engine import BatchRouter
 from repro.model.instance import ProblemInstance
 from repro.model.placement import Placement, Routing
-from repro.runtime.events import Event, EventQueue
 from repro.runtime.replay import NODE_CORES, ReplayResult
 from repro.runtime.resilience import ResiliencePolicy, SlotFaults
 from repro.runtime.serverless import InstancePool, ServerlessConfig
 from repro.runtime.shard import replay_slot
 from repro.utils.validation import check_positive
+
+# kinds of event-loop entry: a request arrives, an invocation is
+# admitted at its node, a request's result reaches home
+_BEGIN, _PROCESS, _FINISH = 0, 1, 2
 
 
 @dataclass(slots=True)
@@ -186,7 +200,14 @@ class SimulatedCluster:
         #: declined replay so the event loop is not re-attempted against
         #: the same slot.
         self.fast_replay = fast_replay
-        self.queue = EventQueue()
+        #: Event-loop entries executed so far (0 after a fast replay).
+        self.events_processed = 0
+        # the event heap: (time, seq, kind, h, outcome, row, pos,
+        # attempt, t_out) tuples; seq is unique, so the heap orders by
+        # (time, seq) alone
+        self._heap: list[tuple] = []
+        self._seq = itertools.count()
+        self._now = 0.0
         self.nodes = [
             _Node(k, float(c), NODE_CORES)
             for k, c in enumerate(instance.network.compute)
@@ -208,31 +229,54 @@ class SimulatedCluster:
         self._live_placement: Optional[Placement] = None
         self._router: Optional[BatchRouter] = None
         self._hedged_routing: Optional[Routing] = None
-        self._timeout_events: dict[int, Event] = {}
         self._hops: Optional[_HopTable] = None
 
     # ------------------------------------------------------------------
     def submit(self, h: int, at: float) -> RequestOutcome:
         """Schedule request ``h`` to arrive at absolute time ``at``."""
-        if not (0 <= h < self.instance.n_requests):
-            raise IndexError(
-                f"request {h} outside instance of size {self.instance.n_requests}"
-            )
-        if at < 0:
-            raise ValueError(f"arrival time must be non-negative, got {at}")
-        if self._hops is None:
-            self._hops = _HopTable(
+        return self._admit([(h, at)])[0]
+
+    def _admit(self, arrivals: list) -> list[RequestOutcome]:
+        """Validate ``(request, time)`` arrivals, then schedule them.
+
+        Every arrival is checked before any is scheduled.  Each gets a
+        begin entry that carries its timeout's due time, ``inf`` without
+        a policy.
+        """
+        n = self.instance.n_requests
+        now = self._now
+        for h, at in arrivals:
+            if not (0 <= h < n):
+                raise IndexError(f"request {h} outside instance of size {n}")
+            if at < 0:
+                raise ValueError(
+                    f"arrival time must be non-negative, got {at}"
+                )
+            if at < now:
+                raise ValueError(
+                    f"cannot schedule into the past (time={at} < now={now})"
+                )
+        hops = self._hops
+        if hops is None:
+            hops = self._hops = _HopTable(
                 self.instance, self.placement, self.routing, self.faults
             )
-        outcome = RequestOutcome(request=h, start=at)
-        self.outcomes.append(outcome)
-        self.queue.schedule_at(at, lambda q, h=h, o=outcome: self._begin(h, o))
-        if self.policy is not None:
-            timeout = self.policy.timeout_for(self._hops.deadlines[h])
-            self._timeout_events[id(outcome)] = self.queue.schedule_at(
-                at + timeout, lambda q, o=outcome: self._timeout(o)
+        outcomes = [RequestOutcome(h, at) for h, at in arrivals]
+        self.outcomes += outcomes
+        if self.policy is None:
+            due = [np.inf] * len(arrivals)
+        else:
+            deadlines = hops.deadlines
+            timeout = {d: self.policy.timeout_for(d) for d in set(deadlines)}
+            due = [at + timeout[deadlines[h]] for h, at in arrivals]
+        heap = self._heap
+        seq = self._seq
+        width = hops.width
+        for (h, at), outcome, t_out in zip(arrivals, outcomes, due):
+            heapq.heappush(
+                heap, (at, next(seq), _BEGIN, h, outcome, h * width, 0, 0, t_out)
             )
-        return outcome
+        return outcomes
 
     def shed(self, h: int, at: float = 0.0) -> RequestOutcome:
         """Record request ``h`` as shed at admission (never dispatched).
@@ -249,81 +293,113 @@ class SimulatedCluster:
         self.outcomes.append(outcome)
         return outcome
 
-    def _timeout(self, outcome: RequestOutcome) -> None:
-        """Per-request timeout guard: abandon the request where it stands."""
-        self._timeout_events.pop(id(outcome), None)
-        if outcome.done or outcome.status != "ok":
-            return
-        outcome.status = "timeout"
+    def _loop(self, until: Optional[float], max_events: int) -> None:
+        """Pop entries in ``(time, seq)`` order and dispatch them inline.
 
-    def _begin(self, h: int, outcome: RequestOutcome) -> None:
-        if outcome.status != "ok":
+        An entry of a request that is no longer ``"ok"`` is dropped.  A
+        request whose timeout is due by the entry's time is abandoned
+        where it stands: its due time ``t_out`` was fixed at submit,
+        before any later entry of the request, so a tie goes to the
+        timeout.  With ``until`` the loop stops at the first entry past
+        the horizon, and every request whose timeout is due by then is
+        marked, as its pending entry never will be before the horizon.
+        """
+        heap = self._heap
+        if not heap:
             return
+        pop = heapq.heappop
+        push = heapq.heappush
+        seq = self._seq
         hops = self._hops
-        row = h * hops.width
-        # upload leg
-        delay = hops.upload[h]
-        if hops.link is not None:
-            delay = delay * hops.link[hops.homes[h]][hops.nodes[row]]
-        self.queue.schedule(
-            delay, lambda q: self._process(h, outcome, row, 0)
-        )
-
-    def _process(
-        self,
-        h: int,
-        outcome: RequestOutcome,
-        row: int,
-        pos: int,
-        attempt: int = 0,
-    ) -> None:
-        if outcome.status != "ok":
-            return
-        hops = self._hops
-        cell = row + pos
-        svc = hops.chains[cell]
-        node = hops.nodes[cell]
-        now = self.queue.now
-
-        if node == hops.cloud:
-            # cloud executes without queueing at its large capacity
-            finish = now + hops.compute[svc] / hops.cloud_compute
-            wait = 0.0
-            penalty = 0.0
-        else:
-            if self.faults is not None and self.faults.crashed(svc, node, now):
-                self._on_crash(h, outcome, row, pos, attempt, svc, node)
-                return
-            penalty = (
-                self.pool.invoke(svc, node, now)
-                if (svc, node) in hops.provisioned
-                else 0.0
-            )
-            finish, wait = self.nodes[node].enqueue(
-                now + penalty, hops.compute[svc]
-            )
-        outcome.queueing += wait
-        outcome.cold_start += penalty
-
-        delay_done = finish - now
-        transfer = hops.legs[cell]
-        nxt = pos + 1
-        if nxt < hops.lengths[h]:
-            if hops.link is not None:
-                transfer = transfer * hops.link[node][hops.nodes[cell + 1]]
-            self.queue.schedule(
-                delay_done + transfer,
-                lambda q: self._process(h, outcome, row, nxt),
-            )
-        else:
-            if hops.link is not None:
-                transfer = transfer * hops.link[node][hops.homes[h]]
-            self.queue.schedule(
-                delay_done + transfer, lambda q: self._finish(outcome)
-            )
+        nodes, chains, legs = hops.nodes, hops.chains, hops.legs
+        lengths, compute, link = hops.lengths, hops.compute, hops.link
+        provisioned, cloud = hops.provisioned, hops.cloud
+        cluster_nodes = self.nodes
+        faults = self.faults
+        crashes = faults.crashes if faults is not None else {}
+        invoke = self.pool.invoke
+        horizon = np.inf if until is None else until
+        now = self._now
+        executed = 0
+        while heap:
+            if executed == max_events:
+                self._now = now
+                self.events_processed += executed
+                raise RuntimeError(
+                    f"event budget exhausted after {max_events} events "
+                    f"at t={now}"
+                )
+            entry = pop(heap)
+            if entry[0] > horizon:
+                push(heap, entry)
+                now = until
+                break
+            now, _, kind, h, outcome, row, pos, attempt, t_out = entry
+            executed += 1
+            if outcome.status != "ok":
+                continue
+            if now >= t_out:
+                outcome.status = "timeout"
+            elif kind == _PROCESS:
+                cell = row + pos
+                svc = chains[cell]
+                node = nodes[cell]
+                if node == cloud:
+                    # cloud executes without queueing at its large capacity
+                    finish = now + compute[svc] / hops.cloud_compute
+                    wait = 0.0
+                    penalty = 0.0
+                else:
+                    key = (svc, node)
+                    if key in crashes and faults.crashed(svc, node, now):
+                        self._on_crash(
+                            now, h, outcome, row, pos, attempt, svc, node,
+                            t_out,
+                        )
+                        continue
+                    penalty = (
+                        invoke(svc, node, now) if key in provisioned else 0.0
+                    )
+                    finish, wait = cluster_nodes[node].enqueue(
+                        now + penalty, compute[svc]
+                    )
+                outcome.queueing += wait
+                outcome.cold_start += penalty
+                # the leg leaving this position: to the next one, or home
+                transfer = legs[cell]
+                pos += 1
+                if pos < lengths[h]:
+                    if link is not None:
+                        transfer = transfer * link[node][nodes[cell + 1]]
+                    kind = _PROCESS
+                else:
+                    if link is not None:
+                        transfer = transfer * link[node][hops.homes[h]]
+                    kind = _FINISH
+                # now + delay, the delay summed first: the float order
+                # every recorded digest was computed in
+                push(heap, (now + ((finish - now) + transfer), next(seq), kind,
+                            h, outcome, row, pos, 0, t_out))
+            elif kind == _BEGIN:
+                # upload leg
+                delay = hops.upload[h]
+                if link is not None:
+                    delay = delay * link[hops.homes[h]][nodes[row]]
+                push(heap, (now + delay, next(seq), _PROCESS, h, outcome, row,
+                            0, 0, t_out))
+            else:
+                outcome.finish = now
+        self._now = now
+        self.events_processed += executed
+        if until is not None:
+            for entry in heap:
+                outcome = entry[4]
+                if entry[8] <= until and outcome.status == "ok":
+                    outcome.status = "timeout"
 
     def _on_crash(
         self,
+        now: float,
         h: int,
         outcome: RequestOutcome,
         row: int,
@@ -331,6 +407,7 @@ class SimulatedCluster:
         attempt: int,
         svc: int,
         node: int,
+        t_out: float,
     ) -> None:
         """An invocation hit a crashed instance: retry, hedge, or fail."""
         self.pool.evict(svc, node)  # the crashed container restarts cold
@@ -340,24 +417,27 @@ class SimulatedCluster:
             return
         if attempt < policy.max_retries:
             outcome.retries += 1
-            self.queue.schedule(
-                policy.backoff(attempt),
-                lambda q, a=attempt + 1: self._process(h, outcome, row, pos, a),
+            heapq.heappush(
+                self._heap,
+                (now + policy.backoff(attempt), next(self._seq), _PROCESS, h,
+                 outcome, row, pos, attempt + 1, t_out),
             )
             return
         if not policy.hedging:
             outcome.status = "failed"
             return
-        self._hedge(h, outcome, row, pos, svc, node)
+        self._hedge(now, h, outcome, row, pos, svc, node, t_out)
 
     def _hedge(
         self,
+        now: float,
         h: int,
         outcome: RequestOutcome,
         row: int,
         pos: int,
         svc: int,
         node: int,
+        t_out: float,
     ) -> None:
         """Re-route the request's remaining suffix off the crashed instance.
 
@@ -407,18 +487,11 @@ class SimulatedCluster:
         transfer = w_in * inv[node][target]
         if hops.link is not None:
             transfer = transfer * hops.link[node][target]
-        self.queue.schedule(
-            transfer,
-            lambda q: self._process(h, outcome, new_row, pos, 0),
+        heapq.heappush(
+            self._heap,
+            (now + transfer, next(self._seq), _PROCESS, h, outcome, new_row,
+             pos, 0, t_out),
         )
-
-    def _finish(self, outcome: RequestOutcome) -> None:
-        if outcome.status != "ok":
-            return
-        outcome.finish = self.queue.now
-        evt = self._timeout_events.pop(id(outcome), None)
-        if evt is not None:
-            self.queue.cancel(evt)
 
     # ------------------------------------------------------------------
     def _replay_eligible(self) -> bool:
@@ -428,8 +501,8 @@ class SimulatedCluster:
             and self.faults is None
             and self.policy is None
             and not self.outcomes
-            and self.queue.processed == 0
-            and self.queue.pending == 0
+            and self.events_processed == 0
+            and not self._heap
         )
 
     def replay(
@@ -527,7 +600,7 @@ class SimulatedCluster:
 
     def run(
         self,
-        arrivals: Optional[Sequence[tuple[int, float]]] = None,
+        arrivals: Optional[Iterable[tuple[int, float]]] = None,
         until: Optional[float] = None,
     ) -> list[RequestOutcome]:
         """Dispatch ``arrivals`` ((request, time) pairs; defaults to all
@@ -560,9 +633,8 @@ class SimulatedCluster:
                 if result is not None:
                     self._materialize(result)
                     return self.outcomes
-        for h, at in arrivals:
-            self.submit(h, at)
-        self.queue.run(until=until, max_events=10_000_000)
+        self._admit(arrivals)
+        self._loop(until, max_events=10_000_000)
         return self.outcomes
 
     def latencies(self) -> np.ndarray:

@@ -412,13 +412,12 @@ class OnlineSimulator:
                         # identical slot.
                         replay_cols = cluster.replay(offsets)
                     if replay_cols is None:
-                        outcomes = cluster.run(
-                            arrivals=[
-                                (h, float(offsets[h]))
-                                for h in range(instance.n_requests)
-                                if h not in shed_set
+                        arrivals = enumerate(offsets.tolist())
+                        if shed_set:
+                            arrivals = [
+                                a for a in arrivals if a[0] not in shed_set
                             ]
-                        )
+                        outcomes = cluster.run(arrivals=arrivals)
                 t_replay = time.perf_counter() - t0
 
                 # -- observe -------------------------------------------
@@ -429,27 +428,21 @@ class OnlineSimulator:
                     obs_req = replay_cols.request
                     obs_queue = replay_cols.queueing
                 else:
-                    # one pass over the event loop's outcomes
-                    done_latency: list = []
-                    done_request: list = []
-                    done_queueing: list = []
-                    for o in outcomes:
-                        n_retries += o.retries
-                        n_hedges += o.hedges
-                        status = o.status
-                        if status == "shed":
-                            n_shed += 1
-                        elif status == "timeout":
-                            n_timeouts += 1
-                        elif status == "failed":
-                            n_failed += 1
-                        if o.done:
-                            done_latency.append(o.latency)
-                            done_request.append(o.request)
-                            done_queueing.append(o.queueing)
-                    latencies = np.array(done_latency)
-                    obs_req = np.array(done_request, dtype=np.int64)
-                    obs_queue = np.array(done_queueing)
+                    # the event loop's outcomes, column by column
+                    finish = np.array([o.finish for o in outcomes])
+                    done = finish == finish  # NaN until completed
+                    start = np.array([o.start for o in outcomes])
+                    latencies = (finish - start)[done]
+                    obs_req = np.array(
+                        [o.request for o in outcomes], dtype=np.int64
+                    )[done]
+                    obs_queue = np.array([o.queueing for o in outcomes])[done]
+                    n_retries = sum([o.retries for o in outcomes])
+                    n_hedges = sum([o.hedges for o in outcomes])
+                    status = [o.status for o in outcomes]
+                    n_shed = status.count("shed")
+                    n_timeouts = status.count("timeout")
+                    n_failed = status.count("failed")
                 recorder.record_slot(latencies)
                 if autoscaling:
                     self.autoscaler.observe(

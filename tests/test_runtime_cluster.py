@@ -124,6 +124,36 @@ class TestSimulatedCluster:
             o.finish for o in fast.outcomes
         ]
 
+    def test_horizon_resumes_where_it_stopped(
+        self, tiny_instance, solved_tiny
+    ):
+        placement, routing = solved_tiny
+        arrivals = [(h, 0.05 * h) for h in range(tiny_instance.n_requests)]
+
+        def cluster():
+            return SimulatedCluster(
+                tiny_instance, placement, routing, fast_replay=False
+            )
+
+        whole = cluster()
+        whole.run(arrivals=arrivals)
+        split = cluster()
+        split.run(arrivals=arrivals, until=0.2)
+        assert not all(o.done for o in split.outcomes)
+        split.run(arrivals=[])
+        assert [o.finish for o in split.outcomes] == [
+            o.finish for o in whole.outcomes
+        ]
+        assert split.events_processed == whole.events_processed
+
+    def test_event_budget(self, tiny_instance, solved_tiny):
+        placement, routing = solved_tiny
+        cluster = SimulatedCluster(tiny_instance, placement, routing)
+        cluster.submit(0, 0.0)
+        with pytest.raises(RuntimeError, match="event budget exhausted"):
+            cluster._loop(None, max_events=3)
+        assert cluster.events_processed == 3
+
 
 class TestMetrics:
     def test_summarize_empty(self):
@@ -201,3 +231,21 @@ class TestSubmitValidation:
         cluster = SimulatedCluster(tiny_instance, placement, routing)
         with pytest.raises(ValueError, match="non-negative"):
             cluster.submit(0, -1.0)
+
+    def test_arrival_before_the_clock(self, tiny_instance, solved_tiny):
+        placement, routing = solved_tiny
+        cluster = SimulatedCluster(
+            tiny_instance, placement, routing, fast_replay=False
+        )
+        cluster.run(arrivals=[(0, 5.0)])
+        with pytest.raises(ValueError, match="into the past"):
+            cluster.submit(1, 1.0)
+
+    def test_bad_arrival_schedules_nothing(self, tiny_instance, solved_tiny):
+        placement, routing = solved_tiny
+        cluster = SimulatedCluster(
+            tiny_instance, placement, routing, fast_replay=False
+        )
+        with pytest.raises(IndexError, match="outside instance"):
+            cluster.run(arrivals=[(1, 2.0), (99, 0.0)])
+        assert cluster.outcomes == [] and cluster.events_processed == 0

@@ -79,8 +79,8 @@ class TestReplayEquivalence:
             inst, placement, routing, arrivals, serverless
         )
         # with continuous arrival times the fast path should engage
-        assert cf.queue.processed == 0
-        assert cs.queue.processed > 0
+        assert cf.events_processed == 0
+        assert cs.events_processed > 0
         assert len(fast) == len(slow) == inst.n_requests
         for a, b in zip(fast, slow):
             assert a.request == b.request
@@ -144,7 +144,7 @@ class TestReplayDeclines:
         # the decline was a real replay attempt → flag cleared,
         # and the slot actually ran through the event heap
         assert not cluster.fast_replay
-        assert cluster.queue.processed > 0
+        assert cluster.events_processed > 0
 
     def test_faults_bypass_replay_without_clearing_flag(self):
         inst, placement, routing = _solved(seed=3, n_users=4)
@@ -168,7 +168,7 @@ class TestReplayDeclines:
         cluster = SimulatedCluster(inst, placement, routing)
         arrivals = [(h, 10.0 * h) for h in range(inst.n_requests)]
         cluster.run(arrivals=arrivals, until=5.0)
-        assert cluster.queue.processed > 0
+        assert cluster.events_processed > 0
 
     def test_replay_declines_after_cluster_ran(self):
         inst, placement, routing = _solved(seed=3, n_users=4)
@@ -210,7 +210,7 @@ class TestReplayDeclines:
         )
         arrivals = [(h, 7.0 * h) for h in range(inst.n_requests)]
         cluster.run(arrivals=arrivals)
-        assert cluster.queue.processed > 0
+        assert cluster.events_processed > 0
 
 
 class TestReplayValidation:

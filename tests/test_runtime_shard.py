@@ -430,7 +430,7 @@ class TestClusterWiring:
         assert flat.last_shard_stats is None
         assert sharded.last_shard_stats is not None
         assert sharded.last_shard_stats.n_shards == 3
-        assert flat.queue.processed == sharded.queue.processed == 0
+        assert flat.events_processed == sharded.events_processed == 0
         assert [
             (o.request, o.start, o.finish, o.queueing, o.cold_start)
             for o in out
