@@ -1,18 +1,22 @@
-"""Online provisioning with user behavior, warm starts and node failures.
+"""Online provisioning with warm-start repairs under node outages.
 
-This example exercises the repository's extensions beyond the paper's
-one-shot pipeline (its stated future work: "incorporate user behavior
-modeling and preference integration"):
+This example runs the online extension of the paper's one-shot
+pipeline slot by slot:
 
-1. a :class:`repro.workload.BehaviorModel` gives each of 40 users stable
-   entry preferences and session depth, so demand is correlated across
-   slots;
-2. an :class:`repro.core.OnlineSoCL` solver warm-starts from the
-   previous slot's placement whenever the measured demand shift is
-   small, falling back to full re-solves on regime changes;
-3. a node-failure schedule stresses the pipeline mid-trace.
+1. 40 users stay at fixed home nodes; each 5-minute slot, the users
+   active under a diurnal request-volume trace draw fresh service
+   chains with :func:`repro.workload.generate_requests`;
+2. an :class:`repro.core.OnlineSoCL` solver repairs the previous
+   slot's placement whenever the measured demand shift is small, and
+   falls back to a full re-solve otherwise;
+3. a node-outage schedule takes nodes down and brings them back
+   mid-trace, so the pipeline re-homes users around failed nodes.
 
-Run:  python examples/online_behavior_forecast.py
+Prints one row per slot (active users, nodes down, repair or full
+solve, objective, redeployed instances, solver time) and a sparkline of
+the per-slot mean latency.
+
+Run:  python examples/online_outages.py
 """
 
 import numpy as np
@@ -21,11 +25,7 @@ from repro import ProblemConfig, ProblemInstance, eshop_application, stadium_top
 from repro.core import OnlineSoCL, SoCL
 from repro.experiments import sparkline
 from repro.runtime.failures import OutageSchedule, degrade_instance
-from repro.workload import (
-    BehaviorModel,
-    behavioral_requests,
-    generate_arrivals,
-)
+from repro.workload import WorkloadSpec, generate_arrivals, generate_requests
 
 
 def main() -> None:
@@ -34,9 +34,6 @@ def main() -> None:
     config = ProblemConfig(weight=0.5, budget=6000.0)
     n_users = 40
     n_slots = 10
-
-    model = BehaviorModel(app, n_users=n_users, seed=0)
-    print("entrypoint popularity:", np.round(model.entry_distribution(), 3))
 
     trace = generate_arrivals(duration_hours=n_slots / 12, interval_minutes=5.0, seed=0)
     volumes = np.minimum(trace.volumes[:n_slots], n_users)
@@ -52,15 +49,12 @@ def main() -> None:
           f"{'objective':>10} {'redeploy':>8} {'runtime':>8}")
     means = []
     for slot in range(n_slots):
-        active = rng.choice(n_users, size=max(1, int(volumes[slot])), replace=False)
-        requests = behavioral_requests(
-            network, app, model, rng=slot, homes=homes, data_scale=5.0
+        active = np.sort(
+            rng.choice(n_users, size=max(1, int(volumes[slot])), replace=False)
         )
-        requests = [r for r in requests if r.index in set(active)]
-        # reindex for the instance
-        from repro.workload.users import reindex_requests
-
-        instance = ProblemInstance(network, app, reindex_requests(requests), config)
+        spec = WorkloadSpec(n_users=active.size, data_scale=5.0)
+        requests = generate_requests(network, app, spec, rng=slot, homes=homes[active])
+        instance = ProblemInstance(network, app, requests, config)
         down = outages.step()
         if down:
             instance = degrade_instance(instance, down)

@@ -32,7 +32,6 @@ from repro.experiments.sweeps import (
     aggregate,
     win_rate,
 )
-from repro.experiments.calibration import CalibrationResult, calibrate_data_scale
 from repro.experiments.report import generate_report
 from repro.experiments import figures
 
@@ -55,8 +54,6 @@ __all__ = [
     "grid_sweep",
     "aggregate",
     "win_rate",
-    "CalibrationResult",
-    "calibrate_data_scale",
     "generate_report",
     "figures",
 ]

@@ -15,22 +15,7 @@ from repro.network.paths import (
     communication_intensity,
     invert_inverse_rates,
 )
-from repro.network.analysis import (
-    TopologySummary,
-    topology_summary,
-    link_utilization,
-    bottleneck_links,
-    reachability_matrix,
-)
-from repro.network.generators import (
-    stadium_topology,
-    random_geometric_topology,
-    ring_topology,
-    grid_topology,
-    line_topology,
-    star_topology,
-    waxman_topology,
-)
+from repro.network.generators import stadium_topology, grid_topology
 
 __all__ = [
     "EdgeServer",
@@ -39,16 +24,6 @@ __all__ = [
     "PathTable",
     "communication_intensity",
     "invert_inverse_rates",
-    "TopologySummary",
-    "topology_summary",
-    "link_utilization",
-    "bottleneck_links",
-    "reachability_matrix",
     "stadium_topology",
-    "random_geometric_topology",
-    "ring_topology",
     "grid_topology",
-    "line_topology",
-    "star_topology",
-    "waxman_topology",
 ]

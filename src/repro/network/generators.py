@@ -5,9 +5,9 @@ with edge servers drawing computing power from [5, 20] GFLOPs, storage
 from [4, 8] units and link bandwidths from [20, 80] GB/s.  The main
 generator, :func:`stadium_topology`, samples coordinates around the
 stadium footprint and connects geographically close stations, then adds
-a spanning backbone so the network is always connected.  Additional
-regular topologies (ring, grid, line, star) and the classic Waxman
-random graph are provided for tests and ablations.
+a spanning backbone so the network is always connected.  A regular
+``rows × cols`` lattice (:func:`grid_topology`) gives the test suite
+small networks of known shape.
 """
 
 from __future__ import annotations
@@ -102,41 +102,6 @@ def _ensure_connected(
     return edges
 
 
-def random_geometric_topology(
-    n: int,
-    radius: float,
-    seed: SeedLike = None,
-    extent: float = STADIUM_EXTENT_KM,
-    compute_range: tuple[float, float] = COMPUTE_RANGE,
-    storage_range: tuple[float, float] = STORAGE_RANGE,
-    bandwidth_range: tuple[float, float] = BANDWIDTH_RANGE,
-) -> EdgeNetwork:
-    """Random geometric graph on an ``extent × extent`` square.
-
-    Nodes within ``radius`` of each other are linked; a minimum spanning
-    set of extra links guarantees connectivity.
-    """
-    check_positive("n", n)
-    check_positive("radius", radius)
-    rng = as_generator(seed)
-    positions = rng.uniform(0.0, extent, size=(n, 2))
-    diffs = positions[:, None, :] - positions[None, :, :]
-    dist = np.hypot(diffs[..., 0], diffs[..., 1])
-    edges = {
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if dist[i, j] <= radius
-    }
-    edges = _ensure_connected(n, edges, positions)
-    servers = _sample_servers(n, positions, rng, compute_range, storage_range)
-    links = [
-        _link(u, v, rng, bandwidth_range, distance=float(dist[u, v]))
-        for u, v in sorted(edges)
-    ]
-    return EdgeNetwork(servers, links)
-
-
 def stadium_topology(
     n: int,
     seed: SeedLike = None,
@@ -179,40 +144,6 @@ def stadium_topology(
     return EdgeNetwork(servers, links)
 
 
-def waxman_topology(
-    n: int,
-    seed: SeedLike = None,
-    alpha: float = 0.6,
-    beta: float = 0.4,
-    extent: float = STADIUM_EXTENT_KM,
-    compute_range: tuple[float, float] = COMPUTE_RANGE,
-    storage_range: tuple[float, float] = STORAGE_RANGE,
-    bandwidth_range: tuple[float, float] = BANDWIDTH_RANGE,
-) -> EdgeNetwork:
-    """Waxman random graph: P(link) = α·exp(−d / (β·D_max))."""
-    check_positive("n", n)
-    check_probability("alpha", alpha)
-    check_probability("beta", beta)
-    rng = as_generator(seed)
-    positions = rng.uniform(0.0, extent, size=(n, 2))
-    diffs = positions[:, None, :] - positions[None, :, :]
-    dist = np.hypot(diffs[..., 0], diffs[..., 1])
-    dmax = float(dist.max()) or 1.0
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = alpha * np.exp(-dist[i, j] / (beta * dmax))
-            if rng.random() < p:
-                edges.add((i, j))
-    edges = _ensure_connected(n, edges, positions)
-    servers = _sample_servers(n, positions, rng, compute_range, storage_range)
-    links = [
-        _link(u, v, rng, bandwidth_range, distance=float(dist[u, v]))
-        for u, v in sorted(edges)
-    ]
-    return EdgeNetwork(servers, links)
-
-
 def _regular(
     n: int,
     edges: list[tuple[int, int]],
@@ -235,60 +166,6 @@ def _regular(
         for u, v in edges
     ]
     return EdgeNetwork(servers, links)
-
-
-def ring_topology(
-    n: int,
-    seed: SeedLike = None,
-    compute_range: tuple[float, float] = COMPUTE_RANGE,
-    storage_range: tuple[float, float] = STORAGE_RANGE,
-    bandwidth_range: tuple[float, float] = BANDWIDTH_RANGE,
-) -> EdgeNetwork:
-    """Cycle of ``n`` nodes (n >= 3)."""
-    if n < 3:
-        raise ValueError(f"ring needs at least 3 nodes, got {n}")
-    angle = 2.0 * np.pi * np.arange(n) / n
-    positions = np.stack([np.cos(angle), np.sin(angle)], axis=1) + 1.0
-    edges = [(k, (k + 1) % n) for k in range(n)]
-    edges = [(min(u, v), max(u, v)) for u, v in edges]
-    return _regular(
-        n, sorted(set(edges)), positions, seed, compute_range, storage_range, bandwidth_range
-    )
-
-
-def line_topology(
-    n: int,
-    seed: SeedLike = None,
-    compute_range: tuple[float, float] = COMPUTE_RANGE,
-    storage_range: tuple[float, float] = STORAGE_RANGE,
-    bandwidth_range: tuple[float, float] = BANDWIDTH_RANGE,
-) -> EdgeNetwork:
-    """Path graph of ``n`` nodes."""
-    check_positive("n", n)
-    positions = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
-    edges = [(k, k + 1) for k in range(n - 1)]
-    return _regular(
-        n, edges, positions, seed, compute_range, storage_range, bandwidth_range
-    )
-
-
-def star_topology(
-    n: int,
-    seed: SeedLike = None,
-    compute_range: tuple[float, float] = COMPUTE_RANGE,
-    storage_range: tuple[float, float] = STORAGE_RANGE,
-    bandwidth_range: tuple[float, float] = BANDWIDTH_RANGE,
-) -> EdgeNetwork:
-    """Hub-and-spoke graph; node 0 is the hub."""
-    if n < 2:
-        raise ValueError(f"star needs at least 2 nodes, got {n}")
-    angle = 2.0 * np.pi * np.arange(n) / max(n - 1, 1)
-    positions = np.stack([np.cos(angle), np.sin(angle)], axis=1) + 1.0
-    positions[0] = (1.0, 1.0)
-    edges = [(0, k) for k in range(1, n)]
-    return _regular(
-        n, edges, positions, seed, compute_range, storage_range, bandwidth_range
-    )
 
 
 def grid_topology(

@@ -30,11 +30,6 @@ from repro.workload.alibaba import (
     similarity_matrix,
     service_similarity_profile,
 )
-from repro.workload.behavior import (
-    UserProfile,
-    BehaviorModel,
-    behavioral_requests,
-)
 
 __all__ = [
     "RequestBatch",
@@ -54,7 +49,4 @@ __all__ = [
     "trace_similarity",
     "similarity_matrix",
     "service_similarity_profile",
-    "UserProfile",
-    "BehaviorModel",
-    "behavioral_requests",
 ]

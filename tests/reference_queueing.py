@@ -1,12 +1,14 @@
-"""Analytic queueing formulas for validating the DES cluster.
+"""Analytic queueing formulas: the theory oracle of the DES cluster.
 
 The simulated cluster's nodes are FIFO multi-core servers with
 deterministic per-invocation service times; under Poisson arrivals a
 single-core node is exactly an **M/D/1** queue and a multi-core node an
-**M/D/c**.  These closed forms let the test suite check the simulator's
-queueing behaviour against theory instead of against itself
-(``tests/test_runtime_queueing.py``), which is what makes the Fig. 9/10
-substitution credible:
+**M/D/c**.  These closed forms let ``tests/test_runtime_queueing.py``
+check the simulator's queueing behaviour against theory instead of
+against itself, which is what makes the Fig. 9/10 substitution
+credible.  It is a test oracle, not part of the runtime: nothing under
+``src/`` calls it.
+
 
 * :func:`mm1_mean_wait` — M/M/1 queueing delay ``ρ/(μ−λ)``;
 * :func:`md1_mean_wait` — M/D/1 via Pollaczek–Khinchine with zero

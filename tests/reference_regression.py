@@ -1,11 +1,11 @@
-"""Golden-result regression tracking.
+"""Golden-result regression tracking, the helper of the golden suite.
 
 Algorithmic code is easy to break quietly: a refactor that flips a
 tie-break changes objectives without failing any structural test.  This
 module snapshots the headline numbers of canonical scenarios to a JSON
 "golden" file and compares future runs against it:
 
-    from repro.experiments.regression import snapshot, compare, GOLDEN_SCENARIOS
+    from tests.reference_regression import snapshot, compare, GOLDEN_SCENARIOS
 
     baseline = snapshot()                     # run the canonical set
     save_golden(baseline, "golden.json")
@@ -14,7 +14,8 @@ module snapshots the headline numbers of canonical scenarios to a JSON
 
 ``tests/test_regression_golden.py`` keeps a committed golden file honest:
 objectives may only *improve* (decrease) silently; increases beyond the
-tolerance fail the suite and force a deliberate golden update.
+tolerance fail the suite and force a deliberate golden update.  It is a
+test helper: nothing under ``src/`` calls it.
 """
 
 from __future__ import annotations

@@ -4,7 +4,11 @@ The overhead benchmark needs a paired pre-PR worktree and quiet timing,
 so CI validates the published document instead: well-formed, internally
 consistent, and its acceptance criterion — disabled-mode overhead below
 2% of the uninstrumented baseline — actually holds in the committed
-numbers.
+numbers.  Regenerate the document on a quiet host, paired against an
+uninstrumented source tree:
+
+    PYTHONPATH=src python benchmarks/bench_obs_overhead.py \\
+        --json BENCH_obs.json --baseline-src <uninstrumented tree>/src
 """
 
 import json

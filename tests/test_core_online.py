@@ -7,7 +7,7 @@ from repro.core import OnlineSoCL, SoCL, demand_shift
 from repro.microservices import eshop_application
 from repro.model import ProblemConfig, ProblemInstance
 from repro.network import stadium_topology
-from repro.workload import BehaviorModel, WorkloadSpec, behavioral_requests, generate_requests
+from repro.workload import WorkloadSpec, generate_requests
 
 
 @pytest.fixture
@@ -124,51 +124,6 @@ class TestOnlineSoCL:
         online.reset()
         res = online.solve(make_instance(components, rng=rng))
         assert res.extra["mode"] == "full"
-
-    def test_behavioral_workload_triggers_incremental(self, components):
-        """Stable per-user behavior keeps demand shift lower than fresh
-        random chains, so a threshold between the two regimes engages
-        the warm path exactly for behavioral workloads."""
-        net, app, cfg = components
-        model = BehaviorModel(app, n_users=40, seed=0)
-        homes = np.random.default_rng(1).integers(0, net.n, size=40)
-
-        # measure both regimes' slot-to-slot shifts
-        from repro.workload.requests import demand_matrix
-
-        def shifts(make_reqs):
-            prev, out = None, []
-            for slot in range(4):
-                reqs = make_reqs(slot)
-                d = demand_matrix(reqs, app.n_services, net.n)
-                if prev is not None:
-                    out.append(demand_shift(prev, d))
-                prev = d
-            return np.mean(out)
-
-        behavioral = shifts(
-            lambda slot: behavioral_requests(
-                net, app, model, rng=slot, homes=homes, data_scale=5.0
-            )
-        )
-        rng = np.random.default_rng(0)
-        random_chains = shifts(
-            lambda slot: generate_requests(
-                net, app, WorkloadSpec(n_users=40, data_scale=5.0), rng=rng
-            )
-        )
-        assert behavioral < random_chains
-
-        online = OnlineSoCL(shift_threshold=(behavioral + random_chains) / 2)
-        modes = []
-        for slot in range(3):
-            reqs = behavioral_requests(
-                net, app, model, rng=slot, homes=homes, data_scale=5.0
-            )
-            inst = ProblemInstance(net, app, reqs, cfg)
-            modes.append(online.solve(inst).extra["mode"])
-        assert modes[0] == "full"
-        assert "incremental" in modes[1:]
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -108,7 +108,6 @@ class TestDesignCoverage:
             "repro.core.online",
             "repro.ilp.scipy_backend",
             "repro.runtime.simulator",
-            "repro.workload.behavior",
             "repro.experiments.figures",
             "repro.serialization",
         ],

@@ -34,13 +34,21 @@ class TestExamples:
         assert "final placement" in out
         assert "feasible: True" in out
 
+    def test_online_outages(self, capsys):
+        out = run_example("online_outages.py", capsys)
+        assert "slot active down" in out
+        rows = [r for r in map(str.split, out.splitlines()) if r and r[0].isdigit()]
+        assert [int(r[0]) for r in rows] == list(range(10))
+        assert {r[3] for r in rows} <= {"full", "incremental"}
+        assert "per-slot mean latency:" in out
+
     def test_examples_exist(self):
         expected = {
             "quickstart.py",
             "compare_baselines.py",
             "online_mobility_trace.py",
             "custom_application.py",
-            "online_behavior_forecast.py",
+            "online_outages.py",
             "paper_scale.py",
         }
         present = {p.name for p in EXAMPLES.glob("*.py")}

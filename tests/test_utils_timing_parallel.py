@@ -192,6 +192,8 @@ class TestParallelMap:
         assert out == [x * x for x in items]
 
     def test_traced_fan_out_matches_serial(self):
+        """A traced fan-out reports the counters and cell roots of a
+        traced serial run."""
         items = [1, 2, 3, 4]
         traces = {}
         for n_jobs in (1, 2):
