@@ -63,6 +63,39 @@ class TestInstancePool:
         assert pool.warm_count(now=5.0) == 1
         assert pool.warm_count(now=50.0) == 0
 
+    def test_never_invoked_is_cold_under_infinite_keep_alive(self, tiny_instance):
+        """A provisioned instance that was never invoked is cold however
+        long the keep-alive: nothing made it resident."""
+        pool = self._pool(
+            tiny_instance, [(0, 0)], cold_start=0.7, keep_alive=float("inf")
+        )
+        assert pool.warm_count(now=0.0) == 0
+        assert pool.warm_count(now=1e9) == 0
+        assert pool.invoke(0, 0, now=1e9) == 0.7
+        assert pool.cold_starts == 1
+        assert pool.warm_count(now=2e9) == 1
+
+    def test_evict_never_invoked_is_noop(self, tiny_instance):
+        pool = self._pool(tiny_instance, [(0, 0), (1, 1)])
+        pool.evict(0, 0)
+        pool.evict(2, 2)  # not provisioned either
+        assert pool.evictions == 0
+        pool.invoke(1, 1, now=0.0)
+        pool.evict(1, 1)
+        pool.evict(1, 1)
+        assert pool.evictions == 1
+
+    def test_removed_then_readded_starts_cold(self, tiny_instance):
+        pool = self._pool(
+            tiny_instance, [(0, 0)], cold_start=0.7, keep_alive=100.0
+        )
+        pool.invoke(0, 0, now=0.0)
+        pool.update_placement(Placement.from_pairs(tiny_instance, [(1, 1)]))
+        pool.update_placement(Placement.from_pairs(tiny_instance, [(0, 0)]))
+        assert pool.warm_count(now=1.0) == 0
+        assert pool.invoke(0, 0, now=1.0) == 0.7
+        assert pool.cold_starts == 2
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ServerlessConfig(cold_start=-1.0)
