@@ -103,11 +103,21 @@ def _build_slot(n_users: int):
 
 
 def _digest(result, pool, nodes) -> str:
-    """SHA-256 over every committed output of a replay."""
+    """SHA-256 over every committed output of a replay.
+
+    The pool's warmth enters as the sorted ``((service, node), time)``
+    list of its invoked cells: keys as Python ints, times as the NumPy
+    scalars the replay commits, the ``repr`` every published digest was
+    recorded over.
+    """
+    import numpy as np
+
     h = hashlib.sha256()
     for name in ("finish", "queueing", "cold_start"):
         h.update(getattr(result, name).tobytes())
-    h.update(repr(sorted(pool._last_used.items())).encode())
+    svc, node = np.nonzero(~np.isnan(pool.last_used))
+    cells = zip(zip(svc.tolist(), node.tolist()), pool.last_used[svc, node])
+    h.update(repr(sorted(cells)).encode())
     h.update(repr((pool.cold_starts, pool.warm_hits)).encode())
     for nd in nodes:
         h.update(repr(list(nd.core_free)).encode())

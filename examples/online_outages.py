@@ -4,8 +4,9 @@ This example runs the online extension of the paper's one-shot
 pipeline slot by slot:
 
 1. 40 users stay at fixed home nodes; each 5-minute slot, the users
-   active under a diurnal request-volume trace draw fresh service
-   chains with :func:`repro.workload.generate_requests`;
+   active under a diurnal request-volume trace (scaled so its peak
+   slot has all 40 active) draw fresh service chains with
+   :func:`repro.workload.generate_requests`;
 2. an :class:`repro.core.OnlineSoCL` solver repairs the previous
    slot's placement whenever the measured demand shift is small, and
    falls back to a full re-solve otherwise;
@@ -36,8 +37,9 @@ def main() -> None:
     n_slots = 10
 
     trace = generate_arrivals(duration_hours=n_slots / 12, interval_minutes=5.0, seed=0)
-    volumes = np.minimum(trace.volumes[:n_slots], n_users)
-    print("request volume per slot:", volumes.tolist())
+    volumes = trace.volumes[:n_slots]
+    volumes = np.maximum(1, np.rint(volumes * n_users / volumes.max())).astype(int)
+    print("active users per slot:", volumes.tolist())
 
     rng = np.random.default_rng(7)
     homes = rng.integers(0, network.n, size=n_users)
@@ -50,7 +52,7 @@ def main() -> None:
     means = []
     for slot in range(n_slots):
         active = np.sort(
-            rng.choice(n_users, size=max(1, int(volumes[slot])), replace=False)
+            rng.choice(n_users, size=volumes[slot], replace=False)
         )
         spec = WorkloadSpec(n_users=active.size, data_scale=5.0)
         requests = generate_requests(network, app, spec, rng=slot, homes=homes[active])

@@ -37,7 +37,7 @@ a discrete-event simulation:
 The full runtime model is documented in ``docs/RUNTIME.md``.
 """
 
-from repro.runtime.serverless import InstancePool, InstanceState, ServerlessConfig
+from repro.runtime.serverless import InstancePool, ServerlessConfig
 from repro.runtime.cluster import SimulatedCluster, RequestOutcome
 from repro.runtime.replay import ReplayResult
 from repro.runtime.shard import (
@@ -69,7 +69,6 @@ from repro.runtime.resilience import (
 
 __all__ = [
     "InstancePool",
-    "InstanceState",
     "ServerlessConfig",
     "SimulatedCluster",
     "RequestOutcome",

@@ -490,7 +490,7 @@ class Scaler:
         prewarmed = evicted = 0
         for act in actions:
             if act.kind == "prewarm":
-                if pool.is_provisioned(act.service, act.node):
+                if pool.provisioned[act.service, act.node]:
                     pool.prewarm(act.service, act.node, now)
                     prewarmed += 1
             elif act.kind == "evict":

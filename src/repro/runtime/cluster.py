@@ -133,8 +133,7 @@ class _HopTable:
 
     __slots__ = (
         "width", "nodes", "chains", "legs", "upload", "lengths", "homes",
-        "deadlines", "compute", "inv_rate", "provisioned", "link", "cloud",
-        "cloud_compute",
+        "deadlines", "compute", "inv_rate", "link", "cloud", "cloud_compute",
     )
 
     def __init__(
@@ -169,7 +168,6 @@ class _HopTable:
         self.deadlines = instance.deadlines.tolist()
         self.compute = instance.service_compute.tolist()
         self.inv_rate = inv.tolist()
-        self.provisioned = set(placement.pairs())
         self.link = faults.link_factors if faults is not None else None
         self.cloud = instance.cloud
         self.cloud_compute = instance.config.cloud_compute
@@ -212,9 +210,13 @@ class SimulatedCluster:
             _Node(k, float(c), NODE_CORES)
             for k, c in enumerate(instance.network.compute)
         ]
-        self.pool = pool if pool is not None else InstancePool(
-            placement, serverless or ServerlessConfig()
-        )
+        if pool is None:
+            pool = InstancePool(placement, serverless or ServerlessConfig())
+        elif not np.array_equal(pool.provisioned, placement.matrix):
+            raise ValueError(
+                "pool's provisioned instances differ from the placement"
+            )
+        self.pool = pool
         #: Optional region partition (:class:`repro.runtime.shard.RegionMap`).
         #: When set, :meth:`replay` runs the fixpoint over these regions
         #: and records its :class:`~repro.runtime.shard.ShardStats` in
@@ -313,11 +315,12 @@ class SimulatedCluster:
         hops = self._hops
         nodes, chains, legs = hops.nodes, hops.chains, hops.legs
         lengths, compute, link = hops.lengths, hops.compute, hops.link
-        provisioned, cloud = hops.provisioned, hops.cloud
+        cloud = hops.cloud
         cluster_nodes = self.nodes
         faults = self.faults
         crashes = faults.crashes if faults is not None else {}
         invoke = self.pool.invoke
+        provisioned = self.pool.provisioned
         horizon = np.inf if until is None else until
         now = self._now
         executed = 0
@@ -358,7 +361,8 @@ class SimulatedCluster:
                         )
                         continue
                     penalty = (
-                        invoke(svc, node, now) if key in provisioned else 0.0
+                        invoke(svc, node, now)
+                        if provisioned[svc, node] else 0.0
                     )
                     finish, wait = cluster_nodes[node].enqueue(
                         now + penalty, compute[svc]

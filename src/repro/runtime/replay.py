@@ -109,7 +109,10 @@ class ReplayPlan:
     that owns the request.  ``e_rows``/``e_cols`` enumerate the *edge*
     invocations (non-cloud chain positions) in row-major (request,
     position) order; that flat rank is the deterministic tie-break
-    order of every same-node ready tie.
+    order of every same-node ready tie.  ``groups`` are the invoked
+    ``(service, node)`` instances as flat keys ``service * M + node``,
+    and ``carried`` their cells of the pool's ``last_used`` table: NaN
+    for an instance never invoked, which every kernel reads as cold.
     """
 
     req: np.ndarray
@@ -221,15 +224,11 @@ def build_replay_plan(
     pool_idx = np.nonzero(pooled)[0]
     group_key = svc_edge[pool_idx] * M + v_edge[pool_idx]
     groups = np.unique(group_key)
-    carried = np.full(groups.size, np.nan)
-    for g, key in enumerate(groups.tolist()):
-        svc_g, node_g = divmod(key, int(M))
-        if not pool.is_provisioned(svc_g, node_g):
-            # The event loop would raise mid-replay; let it.
-            return None
-        last = pool.last_used(svc_g, node_g)
-        if last is not None:
-            carried[g] = last
+    svc_g, node_g = np.divmod(groups, M)
+    if not pool.provisioned[svc_g, node_g].all():
+        # not this placement's pool: nothing here is safe to commit
+        return None
+    carried = pool.last_used[svc_g, node_g]
 
     return ReplayPlan(
         req=req,

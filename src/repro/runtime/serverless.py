@@ -8,28 +8,25 @@ in the nearby area" — is observable through this model: placements that
 concentrate demand keep instances warm, while scattered low-traffic
 instances repeatedly pay cold starts.
 
-:class:`InstancePool` tracks, per (service, node) pair, whether the
-instance is provisioned (by the placement), and when it was last
-invoked; :meth:`InstancePool.invoke` returns the startup penalty to add
-to the request's processing time.
+:class:`InstancePool` is one dense table over the placement's
+``(service, node)`` grid: a boolean ``provisioned`` mask (the placement
+matrix) and a float ``last_used`` time per cell, NaN for an instance
+never invoked since it was provisioned.  An instance is warm at ``now``
+when ``now - last_used <= keep_alive``; NaN compares false, so a
+never-invoked instance is cold under any keep-alive, ``inf`` included.
+:meth:`InstancePool.invoke` is the one scalar cold/warm rule the event
+loop calls; the fixpoint replay (:mod:`repro.runtime.shard`) reads and
+writes the same ``last_used`` cells in bulk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
+
+import numpy as np
 
 from repro.model.placement import Placement
 from repro.utils.validation import check_non_negative
-
-
-class InstanceState(Enum):
-    """Lifecycle state of a (service, node) instance."""
-
-    ABSENT = "absent"  # not provisioned on this node
-    COLD = "cold"  # provisioned but not resident in memory
-    WARM = "warm"  # resident; invocation is penalty-free
 
 
 @dataclass(frozen=True)
@@ -50,12 +47,17 @@ class ServerlessConfig:
 
 
 class InstancePool:
-    """Warm/cold bookkeeping over a placement."""
+    """Warm/cold bookkeeping over a placement, one ``(S, N)`` table.
+
+    ``provisioned[s, k]`` is the placement's ``x(s, k)``;
+    ``last_used[s, k]`` is the last invocation (or prewarm) time of that
+    instance, NaN if it has none.  Cells outside the mask stay NaN.
+    """
 
     def __init__(self, placement: Placement, config: ServerlessConfig = ServerlessConfig()):
         self.config = config
-        self._provisioned: set[tuple[int, int]] = set(placement.pairs())
-        self._last_used: dict[tuple[int, int], float] = {}
+        self.provisioned = placement.matrix.copy()
+        self.last_used = np.full(self.provisioned.shape, np.nan)
         self.cold_starts = 0
         self.warm_hits = 0
         self.evictions = 0
@@ -64,66 +66,24 @@ class InstancePool:
     def update_placement(self, placement: Placement) -> None:
         """Apply a new placement: removed instances are evicted, new ones
         start cold; surviving instances keep their warmth."""
-        new = set(placement.pairs())
-        for key in list(self._last_used):
-            if key not in new:
-                del self._last_used[key]
-        self._provisioned = new
-
-    def state(self, service: int, node: int, now: float) -> InstanceState:
-        """Lifecycle state of (service, node) at time ``now`` — ABSENT, COLD, or WARM depending on provisioning and keep-alive."""
-        key = (service, node)
-        if key not in self._provisioned:
-            return InstanceState.ABSENT
-        last = self._last_used.get(key)
-        if last is not None and now - last <= self.config.keep_alive:
-            return InstanceState.WARM
-        return InstanceState.COLD
+        new = placement.matrix.copy()
+        self.last_used[~new] = np.nan
+        self.provisioned = new
 
     def invoke(self, service: int, node: int, now: float) -> float:
         """Record an invocation; returns the startup penalty in seconds.
 
-        Invoking an instance that is not provisioned raises — the caller
-        (cluster) must route cloud fallbacks explicitly.
+        The caller must only invoke provisioned pairs (the cluster
+        guards each hop with :attr:`provisioned` and routes cloud
+        fallbacks explicitly).
         """
-        state = self.state(service, node, now)
-        if state is InstanceState.ABSENT:
-            raise ValueError(
-                f"service {service} is not provisioned on node {node}"
-            )
-        self._last_used[(service, node)] = now
-        if state is InstanceState.COLD:
+        last = self.last_used[service, node]
+        self.last_used[service, node] = now
+        if not (now - last <= self.config.keep_alive):
             self.cold_starts += 1
             return self.config.cold_start
         self.warm_hits += 1
         return 0.0
-
-    def is_provisioned(self, service: int, node: int) -> bool:
-        """Whether ``(service, node)`` is provisioned by the placement."""
-        return (service, node) in self._provisioned
-
-    def last_used(self, service: int, node: int) -> Optional[float]:
-        """Last invocation time of ``(service, node)``, or ``None`` if never."""
-        return self._last_used.get((service, node))
-
-    def commit_batch(
-        self,
-        last_used: dict[tuple[int, int], float],
-        n_cold: int,
-        n_warm: int,
-    ) -> None:
-        """Apply the aggregate effect of a batch of invocations.
-
-        Used by the vectorized replay (:mod:`repro.runtime.replay`),
-        which resolves each invocation's warm/cold state in bulk:
-        ``last_used`` maps each touched ``(service, node)`` pair to its
-        final invocation time, and ``n_cold`` / ``n_warm`` increment the
-        counters exactly as the equivalent :meth:`invoke` sequence
-        would.  The caller must only include provisioned pairs.
-        """
-        self._last_used.update(last_used)
-        self.cold_starts += n_cold
-        self.warm_hits += n_warm
 
     def prewarm(self, service: int, node: int, now: float) -> None:
         """Warm an instance outside the request path (autoscaler keep-warm).
@@ -133,11 +93,11 @@ class InstancePool:
         warm hit instead of a cold start.  Raises for pairs the
         placement does not provision; counted in :attr:`prewarms`.
         """
-        if (service, node) not in self._provisioned:
+        if not self.provisioned[service, node]:
             raise ValueError(
                 f"service {service} is not provisioned on node {node}"
             )
-        self._last_used[(service, node)] = now
+        self.last_used[service, node] = now
         self.prewarms += 1
 
     def evict(self, service: int, node: int) -> None:
@@ -147,19 +107,16 @@ class InstancePool:
         but its next invocation pays a fresh cold start.  No-op for
         pairs that were never warm; counted in :attr:`evictions`.
         """
-        if self._last_used.pop((service, node), None) is not None:
+        if not np.isnan(self.last_used[service, node]):
+            self.last_used[service, node] = np.nan
             self.evictions += 1
 
     @property
     def n_provisioned(self) -> int:
         """Number of provisioned (service, node) instances."""
-        return len(self._provisioned)
+        return int(np.count_nonzero(self.provisioned))
 
     def warm_count(self, now: float) -> int:
         """Number of currently warm instances."""
-        return sum(
-            1
-            for key in self._provisioned
-            if (last := self._last_used.get(key)) is not None
-            and now - last <= self.config.keep_alive
-        )
+        warm = now - self.last_used <= self.config.keep_alive
+        return int(np.count_nonzero(warm & self.provisioned))

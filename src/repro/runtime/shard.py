@@ -705,7 +705,8 @@ class ShardCommit:
     cold: np.ndarray
     busy: dict
     core_free: dict
-    pool_updates: dict
+    groups: np.ndarray          # the slice's pooled (svc, node) keys
+    group_last: np.ndarray      # each group's last invocation time
     n_cold: int
     n_warm: int
     tied: bool
@@ -1527,10 +1528,6 @@ class RegionShard:
                 else 0.0
             )
             core_free[v] = _core_free_final(cache.st_s, cache.w_s)
-        pool_updates = {}
-        for g, key in enumerate(slc.groups.tolist()):
-            svc_g, node_g = divmod(key, int(slc.M))
-            pool_updates[(svc_g, node_g)] = self.group_last[g]
         return ShardCommit(
             rows=slc.rows,
             finish=finish,
@@ -1538,7 +1535,8 @@ class RegionShard:
             cold=cold,
             busy=busy,
             core_free=core_free,
-            pool_updates=pool_updates,
+            groups=slc.groups,
+            group_last=self.group_last,
             n_cold=int(self.group_cold.sum()),
             n_warm=int(self.group_warm.sum()),
             tied=any(self.tied.values()),
@@ -1677,25 +1675,34 @@ def commit_sharded(
     req: np.ndarray,
     at: np.ndarray,
 ) -> ShardedReplayResult:
-    """Merge shard commits into the global result and advance state."""
+    """Merge shard commits into the global result and advance state.
+
+    The pool's warmth is one fancy-indexed write: every invoked group's
+    last invocation time lands in its ``last_used`` cell, found from the
+    group key ``service * M + node`` (``M`` the node count).  The
+    cold-start and warm-hit counters advance by the shards' sums,
+    exactly as the equivalent :meth:`InstancePool.invoke` sequence
+    would.
+    """
     n_req = int(req.size)
     finish = np.empty(n_req)
     queueing = np.empty(n_req)
     cold = np.empty(n_req)
-    pool_updates: dict = {}
-    total_cold = total_warm = 0
     for c in commits:
         finish[c.rows] = c.finish
         queueing[c.rows] = c.queueing
         cold[c.rows] = c.cold
-        pool_updates.update(c.pool_updates)
-        total_cold += c.n_cold
-        total_warm += c.n_warm
+        pool.cold_starts += c.n_cold
+        pool.warm_hits += c.n_warm
         for v, b in c.busy.items():
             nodes[v].busy_time += b
             nodes[v].core_free[:] = c.core_free[v]
-    if pool_updates:
-        pool.commit_batch(pool_updates, total_cold, total_warm)
+    groups = np.concatenate([c.groups for c in commits])
+    if groups.size:
+        svc, node = np.divmod(groups, len(nodes))
+        pool.last_used[svc, node] = np.concatenate(
+            [c.group_last for c in commits]
+        )
     result = ReplayResult(
         request=req.copy(),
         start=at.copy(),

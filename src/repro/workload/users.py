@@ -27,7 +27,7 @@ from repro.microservices.chains import chain_catalog
 from repro.network.topology import EdgeNetwork
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_probability
-from repro.workload.requests import RequestBatch, UserRequest
+from repro.workload.requests import RequestBatch
 
 
 @dataclass(frozen=True)
@@ -256,17 +256,3 @@ def generate_request_windows(
 
     return _windows()
 
-
-def reindex_requests(requests: Sequence[UserRequest]) -> list[UserRequest]:
-    """Return requests with ``index`` renumbered consecutively from 0."""
-    return [
-        UserRequest(
-            index=h,
-            home=req.home,
-            chain=req.chain,
-            data_in=req.data_in,
-            data_out=req.data_out,
-            edge_data=req.edge_data,
-        )
-        for h, req in enumerate(requests)
-    ]

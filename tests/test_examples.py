@@ -40,6 +40,8 @@ class TestExamples:
         rows = [r for r in map(str.split, out.splitlines()) if r and r[0].isdigit()]
         assert [int(r[0]) for r in rows] == list(range(10))
         assert {r[3] for r in rows} <= {"full", "incremental"}
+        # the diurnal trace drives how many users are active
+        assert len({int(r[1]) for r in rows}) > 1
         assert "per-slot mean latency:" in out
 
     def test_examples_exist(self):

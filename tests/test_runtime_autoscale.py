@@ -146,7 +146,7 @@ class TestPoolActions:
         assert pool.invoke(svc, node, 0.0) > 0.0  # cold
         assert pool.invoke(svc, node, 1.0) == 0.0  # warm
         pool.evict(svc, node)
-        assert pool.is_provisioned(svc, node)
+        assert pool.provisioned[svc, node]
         assert pool.invoke(svc, node, 2.0) > 0.0  # cold again
         assert pool.evictions == 1
 

@@ -90,7 +90,10 @@ class TestReplayEquivalence:
             assert a.cold_start == b.cold_start
         assert cf.pool.cold_starts == cs.pool.cold_starts
         assert cf.pool.warm_hits == cs.pool.warm_hits
-        assert cf.pool._last_used == cs.pool._last_used
+        assert np.array_equal(
+            cf.pool.last_used, cs.pool.last_used, equal_nan=True
+        )
+        assert np.array_equal(cf.pool.provisioned, cs.pool.provisioned)
         horizon = float(at.max()) + 1.0
         assert np.array_equal(
             cf.utilization(horizon), cs.utilization(horizon)
@@ -126,7 +129,10 @@ class TestReplayEquivalence:
             for a, b in zip(*results):
                 assert a.finish == b.finish
                 assert a.cold_start == b.cold_start
-        assert pools[0]._last_used == pools[1]._last_used
+        assert np.array_equal(
+            pools[0].last_used, pools[1].last_used, equal_nan=True
+        )
+        assert np.array_equal(pools[0].provisioned, pools[1].provisioned)
         assert pools[0].cold_starts == pools[1].cold_starts
         assert pools[0].warm_hits == pools[1].warm_hits
 
@@ -185,7 +191,8 @@ class TestReplayDeclines:
         )
         svc, node = next(iter(placement.pairs()))
         pool.prewarm(svc, node, 0.0)
-        before = (pool.cold_starts, pool.warm_hits, dict(pool._last_used))
+        counters = (pool.cold_starts, pool.warm_hits)
+        last_used = pool.last_used.copy()
         req = np.arange(inst.n_requests)
         at = np.random.default_rng(2).uniform(0.0, 9.0, size=req.size)
         compute = inst.network.compute
@@ -193,7 +200,9 @@ class TestReplayDeclines:
         assert replay_slot(
             inst, placement, routing, pool, nodes, req, at
         ) is None
-        assert (pool.cold_starts, pool.warm_hits, pool._last_used) == before
+        assert (pool.cold_starts, pool.warm_hits) == counters
+        assert np.array_equal(pool.last_used, last_used, equal_nan=True)
+        assert np.array_equal(pool.provisioned, placement.matrix)
         for nd in nodes:
             assert nd.core_free == [0.0, 0.0, 0.0]
             assert nd.busy_time == 0.0

@@ -88,7 +88,10 @@ def _assert_identical(oracle, one, shr):
     for name in ("start", "finish", "queueing", "cold_start"):
         want = np.array([getattr(o, name) for o in outcomes])
         assert np.array_equal(getattr(res, name), want), name
-    assert cluster.pool._last_used == oracle.pool._last_used
+    assert np.array_equal(
+        cluster.pool.last_used, oracle.pool.last_used, equal_nan=True
+    )
+    assert np.array_equal(cluster.pool.provisioned, oracle.pool.provisioned)
     assert cluster.pool.cold_starts == oracle.pool.cold_starts
     assert cluster.pool.warm_hits == oracle.pool.warm_hits
     for na, nb in zip(oracle.nodes, cluster.nodes):
@@ -448,8 +451,8 @@ def _multi_slot_digest(engine, n_slots=6, seed=21, n_users=14):
         for nd in cluster.nodes:
             state = [float(x) for x in nd.core_free] + [float(nd.busy_time)]
             digest.update(repr(state).encode())
-    last_used = sorted((k, float(t)) for k, t in pool._last_used.items())
-    digest.update(repr(last_used).encode())
+    digest.update(pool.provisioned.tobytes())
+    digest.update(pool.last_used.tobytes())
     digest.update(repr((pool.cold_starts, pool.warm_hits)).encode())
     return digest.hexdigest(), rounds
 

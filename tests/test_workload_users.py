@@ -5,7 +5,6 @@ import pytest
 
 from repro.network import grid_topology
 from repro.workload import WorkloadSpec, generate_requests, place_users
-from repro.workload.users import reindex_requests
 
 
 @pytest.fixture
@@ -128,9 +127,3 @@ class TestGenerateRequests:
         assert [(r.home, r.chain, r.data_in) for r in a] == [
             (r.home, r.chain, r.data_in) for r in b
         ]
-
-    def test_reindex(self, net, eshop_app):
-        reqs = generate_requests(net, eshop_app, WorkloadSpec(n_users=5), rng=0)
-        subset = reindex_requests(reqs[2:])
-        assert [r.index for r in subset] == [0, 1, 2]
-        assert subset[0].chain == reqs[2].chain
