@@ -320,7 +320,8 @@ class SimulatedCluster:
         faults = self.faults
         crashes = faults.crashes if faults is not None else {}
         invoke = self.pool.invoke
-        provisioned = self.pool.provisioned
+        # the pool's mask, read cell by cell as Python bools
+        provisioned = self.pool.provisioned.item
         horizon = np.inf if until is None else until
         now = self._now
         executed = 0
@@ -362,7 +363,7 @@ class SimulatedCluster:
                         continue
                     penalty = (
                         invoke(svc, node, now)
-                        if provisioned[svc, node] else 0.0
+                        if provisioned(svc, node) else 0.0
                     )
                     finish, wait = cluster_nodes[node].enqueue(
                         now + penalty, compute[svc]

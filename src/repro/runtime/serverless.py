@@ -77,8 +77,11 @@ class InstancePool:
         guards each hop with :attr:`provisioned` and routes cloud
         fallbacks explicitly).
         """
-        last = self.last_used[service, node]
-        self.last_used[service, node] = now
+        table = self.last_used
+        # .item reads a Python float: the same IEEE subtraction as a
+        # NumPy scalar, without building one on every hop
+        last = table.item(service, node)
+        table[service, node] = now
         if not (now - last <= self.config.keep_alive):
             self.cold_starts += 1
             return self.config.cold_start

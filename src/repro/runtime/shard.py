@@ -705,7 +705,7 @@ class ShardCommit:
     cold: np.ndarray
     busy: dict
     core_free: dict
-    groups: np.ndarray          # the slice's pooled (svc, node) keys
+    cells: tuple                # (service, node) index arrays of the groups
     group_last: np.ndarray      # each group's last invocation time
     n_cold: int
     n_warm: int
@@ -1535,7 +1535,7 @@ class RegionShard:
             cold=cold,
             busy=busy,
             core_free=core_free,
-            groups=slc.groups,
+            cells=np.divmod(slc.groups, slc.M),
             group_last=self.group_last,
             n_cold=int(self.group_cold.sum()),
             n_warm=int(self.group_warm.sum()),
@@ -1677,9 +1677,8 @@ def commit_sharded(
 ) -> ShardedReplayResult:
     """Merge shard commits into the global result and advance state.
 
-    The pool's warmth is one fancy-indexed write: every invoked group's
-    last invocation time lands in its ``last_used`` cell, found from the
-    group key ``service * M + node`` (``M`` the node count).  The
+    Each shard's warmth is one fancy-indexed write: every invoked
+    group's last invocation time lands in its ``last_used`` cell.  The
     cold-start and warm-hit counters advance by the shards' sums,
     exactly as the equivalent :meth:`InstancePool.invoke` sequence
     would.
@@ -1692,17 +1691,12 @@ def commit_sharded(
         finish[c.rows] = c.finish
         queueing[c.rows] = c.queueing
         cold[c.rows] = c.cold
+        pool.last_used[c.cells] = c.group_last
         pool.cold_starts += c.n_cold
         pool.warm_hits += c.n_warm
         for v, b in c.busy.items():
             nodes[v].busy_time += b
             nodes[v].core_free[:] = c.core_free[v]
-    groups = np.concatenate([c.groups for c in commits])
-    if groups.size:
-        svc, node = np.divmod(groups, len(nodes))
-        pool.last_used[svc, node] = np.concatenate(
-            [c.group_last for c in commits]
-        )
     result = ReplayResult(
         request=req.copy(),
         start=at.copy(),
