@@ -139,7 +139,6 @@ class _HopTable:
     def __init__(
         self,
         instance: ProblemInstance,
-        placement: Placement,
         routing: Routing,
         faults: Optional[SlotFaults],
     ):
@@ -261,7 +260,7 @@ class SimulatedCluster:
         hops = self._hops
         if hops is None:
             hops = self._hops = _HopTable(
-                self.instance, self.placement, self.routing, self.faults
+                self.instance, self.routing, self.faults
             )
         outcomes = [RequestOutcome(h, at) for h, at in arrivals]
         self.outcomes += outcomes

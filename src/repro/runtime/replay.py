@@ -109,10 +109,11 @@ class ReplayPlan:
     that owns the request.  ``e_rows``/``e_cols`` enumerate the *edge*
     invocations (non-cloud chain positions) in row-major (request,
     position) order; that flat rank is the deterministic tie-break
-    order of every same-node ready tie.  ``groups`` are the invoked
-    ``(service, node)`` instances as flat keys ``service * M + node``,
-    and ``carried`` their cells of the pool's ``last_used`` table: NaN
-    for an instance never invoked, which every kernel reads as cold.
+    order of every same-node ready tie.  ``groups`` are the provisioned
+    ``(service, node)`` instances the slot invokes, as flat keys
+    ``service * M + node``, and ``carried`` their cells of the pool's
+    ``last_used`` table: NaN for an instance never invoked, which every
+    kernel reads as cold.
     """
 
     req: np.ndarray
