@@ -437,7 +437,10 @@ def _fifo_patch_many(
     committed spans are applied.  Commits can't invalidate each other:
     a span rejoining before the next span's seed position never wrote
     that seed, and tested positions never overlap another span's
-    writes.  Returns the changed positions, or ``None`` on a blown
+    writes.  A handed-off cascade can still run over a later committed
+    span, seeded before the cascade reached it; the scalar walk
+    rewrites it, and a position it puts back at its old start is not
+    reported.  Returns the changed positions, or ``None`` on a blown
     budget (partially committed values are exact finals, so the
     caller's warm full solve stays sound).
     """
@@ -504,32 +507,30 @@ def _fifo_patch_many(
             kept[idx] = nk
             fprev[idx] = s_ + work[k_a]
             kk[idx] = k_a + 1
-    changed_parts: list[np.ndarray] = []
+    chk = np.empty(0, dtype=np.int64)
     if rec_k:
         kall = np.concatenate(rec_k)
         sall = np.concatenate(rec_s)
         keep = finished[np.concatenate(rec_sid)]
         kc = kall[keep]
+        chk = kc[np.concatenate(rec_ch)[keep]]
+        old = starts[chk]
         starts[kc] = sall[keep]
         P[kc] = np.concatenate(rec_p)[keep]
-        chk = kc[np.concatenate(rec_ch)[keep]]
-        if chk.size:
-            changed_parts.append(chk)
     unfin = ~finished
-    if unfin.any():
-        wchg = _fifo_patch(
-            admit, work, starts, P, span_lo[unfin], span_hi[unfin]
-        )
-        if wchg is None:
-            return None
-        if wchg:
-            changed_parts.append(np.asarray(wchg, dtype=np.int64))
-    if not changed_parts:
-        return np.empty(0, dtype=np.int64)
-    return (
-        changed_parts[0]
-        if len(changed_parts) == 1
-        else np.concatenate(changed_parts)
+    if not unfin.any():
+        return chk
+    wchg = _fifo_patch(
+        admit, work, starts, P, span_lo[unfin], span_hi[unfin]
+    )
+    if wchg is None:
+        return None
+    # a cascade the scalar walk carries over a committed span may put
+    # some of its starts back: such a position reports no change, and a
+    # position both paths changed reports once
+    walked = np.asarray(wchg, dtype=np.int64)
+    return np.concatenate(
+        (chk[starts[chk] != old], walked[~np.isin(walked, chk)])
     )
 
 
