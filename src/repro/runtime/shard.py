@@ -508,6 +508,7 @@ def _fifo_patch_many(
             fprev[idx] = s_ + work[k_a]
             kk[idx] = k_a + 1
     chk = np.empty(0, dtype=np.int64)
+    old = np.empty(0)
     if rec_k:
         kall = np.concatenate(rec_k)
         sall = np.concatenate(rec_s)
