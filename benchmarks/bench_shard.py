@@ -102,22 +102,29 @@ def _build_slot(n_users: int):
     return net, inst, placement, at
 
 
-def _digest(result, pool, nodes) -> str:
-    """SHA-256 over every committed output of a replay.
+def _pool_text(pool) -> str:
+    """The pool's invoked cells as the text every published digest hashed.
 
-    The pool's warmth enters as the sorted ``((service, node), time)``
-    list of its invoked cells: keys as Python ints, times as the NumPy
-    scalars the replay commits, the ``repr`` every published digest was
-    recorded over.
+    The sorted ``((service, node), time)`` list of cells with a last-use
+    time, written from Python ints and floats: each time as
+    ``np.float64({t!r})``, the ``repr`` the replay's NumPy scalars had
+    under NumPy 2 when the digests were recorded.  Building the text
+    from Python floats keeps the digest a function of the values alone,
+    whatever NumPy's scalar ``repr`` is.
     """
     import numpy as np
 
+    svc, node = np.nonzero(~np.isnan(pool.last_used))
+    cells = zip(svc.tolist(), node.tolist(), pool.last_used[svc, node].tolist())
+    return "[" + ", ".join(f"(({s}, {k}), np.float64({t!r}))" for s, k, t in cells) + "]"
+
+
+def _digest(result, pool, nodes) -> str:
+    """SHA-256 over every committed output of a replay."""
     h = hashlib.sha256()
     for name in ("finish", "queueing", "cold_start"):
         h.update(getattr(result, name).tobytes())
-    svc, node = np.nonzero(~np.isnan(pool.last_used))
-    cells = zip(zip(svc.tolist(), node.tolist()), pool.last_used[svc, node])
-    h.update(repr(sorted(cells)).encode())
+    h.update(_pool_text(pool).encode())
     h.update(repr((pool.cold_starts, pool.warm_hits)).encode())
     for nd in nodes:
         h.update(repr(list(nd.core_free)).encode())

@@ -175,7 +175,11 @@ FIFO_SWEEP_CAP = 16
 
 #: Block length for the causal block-by-block solve in
 #: ``_fifo_starts``: large enough to amortize NumPy call overhead,
-#: small enough that a deep cascade only re-sweeps its own block.
+#: small enough that a deep cascade only re-sweeps its own block.  It is
+#: also the size rule of ``RegionShard._sim_node``: a node with at most
+#: this many invocations re-sorts and re-solves in full on every
+#: re-simulation (one block, so a few NumPy calls), and only a larger
+#: node splices its cached claim order and patches its FIFO schedule.
 FIFO_BLOCK = 4096
 
 #: Lockstep iterations before ``_fifo_patch_many`` hands a span to the
@@ -972,7 +976,8 @@ class RegionShard:
         posc = None
         pchg = None
         span_a = span_b = None
-        rebuild = first or cache is None
+        # the size rule (see FIFO_BLOCK): small nodes always rebuild
+        rebuild = first or cache is None or idx.size <= FIFO_BLOCK
         if not rebuild:
             # incremental path: late in the fixpoint a changed ready
             # value moves only a short distance in the claim order, so
@@ -1112,7 +1117,11 @@ class RegionShard:
             g_claim = self._g_of_ne[sel]
             pcl = np.nonzero(g_claim >= 0)[0]
             gvals = g_claim[pcl]
-            kor = np.argsort(gvals, kind="stable")
+            # the smallest unsigned key that holds every group index
+            # sorts far faster than int64 (a radix sort at 8/16 bits)
+            kor = np.argsort(
+                gvals.astype(np.min_scalar_type(slc.groups.size)), kind="stable"
+            )
             r_s = r_v[order]
             m0 = int(r_s.size)
             cache = _NodeCache(
@@ -1550,7 +1559,8 @@ class RegionShard:
         """Emit accumulated telemetry into the ambient tracer and reset.
 
         Counters land under ``runtime.shard.*`` (deterministic functions
-        of the replay inputs) and the per-phase wall times become one
+        of the replay inputs), zero-valued ones too, so a traced run
+        always names all three; the per-phase wall times become one
         synthetic ``shard<k>`` span with one child per protocol phase.
         A no-op when tracing is disabled.
         """
@@ -1559,9 +1569,7 @@ class RegionShard:
         if tel is None or not tracer.enabled:
             return None
         for key in sorted(tel.counters):
-            value = tel.counters[key]
-            if value:
-                tracer.inc(f"runtime.shard.{key}", value)
+            tracer.inc(f"runtime.shard.{key}", tel.counters[key])
         children = [
             Span(
                 name=phase,

@@ -86,3 +86,33 @@ def test_speedup_recorded_without_gate(doc):
             row["ref"]["wall_s_median"] / row["sharded"]["wall_s_median"]
         )
     assert "speedup_ge_3x" not in doc["criteria"]
+
+
+def test_pool_text_matches_numpy_scalar_repr():
+    """The digest's pool text, built from Python floats, is the ``repr``
+    of the sorted NumPy-scalar cell list every published digest hashed
+    (NumPy >= 2 writes a float64 scalar as ``np.float64(...)``)."""
+    import importlib.util
+
+    import numpy as np
+
+    from repro.model import Placement
+    from repro.runtime import ServerlessConfig
+    from repro.runtime.serverless import InstancePool
+
+    if int(np.__version__.split(".")[0]) < 2:
+        pytest.skip("the recorded text is NumPy 2's scalar repr")
+    path = DOC_PATH.parent / "benchmarks" / "bench_shard.py"
+    spec = importlib.util.spec_from_file_location("bench_shard", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    pool = InstancePool(Placement(np.ones((3, 4), dtype=bool)), ServerlessConfig())
+    gen = np.random.default_rng(0)
+    times = [0.0, 1e-7, 5.41, 123456.789, 2.0**60, gen.uniform(0, 1e4)]
+    for (svc, node), t in zip([(0, 1), (2, 3), (1, 0), (0, 0), (2, 0), (1, 2)], times):
+        pool.last_used[svc, node] = t
+    svc, node = np.nonzero(~np.isnan(pool.last_used))
+    old = repr(sorted(zip(zip(svc.tolist(), node.tolist()), pool.last_used[svc, node])))
+    assert "np.float64(" in old
+    assert bench._pool_text(pool) == old

@@ -7,6 +7,9 @@ the per-request reference DP :func:`~repro.model.routing._route_one` —
 including argmin tie-breaking.  Hypothesis drives random instances and
 placements (empty services → cloud fallback, single-host services,
 mixed chain lengths) through both paths and asserts exact equality.
+The batched host table and the batched scoring of several placements
+are checked against the per-service and per-candidate versions frozen
+in ``tests/reference_combination.py``.
 """
 
 import numpy as np
@@ -15,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 from repro.microservices import Application, Microservice
 from repro.model import BatchRouter, Placement, ProblemConfig, ProblemInstance
 from repro.model.latency import total_latency
-from repro.model.routing import _host_lists, _route_one, greedy_routing, optimal_routing
+from repro.model.routing import _host_table, _route_one, greedy_routing, optimal_routing
 from repro.network import grid_topology
 from repro.workload import WorkloadSpec, generate_requests
+from tests.reference_combination import host_lists, padded_hosts
 
 
 def build_instance(seed: int, n_users: int, max_chain: int) -> ProblemInstance:
@@ -64,7 +68,7 @@ def instances_with_placements(draw):
 
 def reference_assignment(inst, placement, model) -> np.ndarray:
     """Per-request DP loop — the ground truth the batches must match."""
-    hosts = _host_lists(inst, placement)
+    hosts = _host_table(inst, placement.matrix)
     a = np.full((inst.n_requests, inst.max_chain), -1, dtype=np.int64)
     for h, req in enumerate(inst.requests):
         nodes = _route_one(inst, req, hosts, inst.inv_rate, inst.compute_ext, model)
@@ -84,7 +88,7 @@ def test_batch_routing_matches_reference(pair, model):
 @given(pair=instances_with_placements())
 def test_greedy_routing_matches_reference(pair):
     inst, placement = pair
-    hosts = _host_lists(inst, placement)
+    hosts = host_lists(inst, placement)
     ref = np.full((inst.n_requests, inst.max_chain), -1, dtype=np.int64)
     for h, req in enumerate(inst.requests):
         for j, svc in enumerate(req.chain):
@@ -261,3 +265,127 @@ def test_batch_router_removal_skips_rows_off_the_lost_instance():
         rows = router.rerouted_rows
         assert_trial_is_fresh(inst, cand, router.score(cand), model)
         assert 0 < router.rerouted_rows - rows < rows_containing(inst, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=instances_with_placements(), data=st.data())
+def test_host_table_matches_padded_host_lists(pair, data):
+    """The vectorized table ≡ the per-service lists, padded; stacked too."""
+    inst, placement = pair
+    # a service with no host falls back to the cloud
+    empty = placement.copy()
+    for k in empty.hosts(0):
+        empty.remove(0, k)
+    others = [placement, empty]
+    for _ in range(data.draw(st.integers(0, 2), label="more")):
+        cand = placement.copy()
+        svc = data.draw(st.integers(0, inst.n_services - 1), label="service")
+        node = data.draw(st.integers(0, inst.n_servers - 1), label="node")
+        if cand.has(svc, node):
+            cand.remove(svc, node)
+        else:
+            cand.add(svc, node)
+        others.append(cand)
+    for p in others:
+        pad, valid = _host_table(inst, p.matrix)
+        ref_pad, ref_valid = padded_hosts(host_lists(inst, p))
+        assert pad.dtype == ref_pad.dtype
+        assert np.array_equal(pad, ref_pad)
+        assert np.array_equal(valid, ref_valid)
+    pad, valid = _host_table(inst, np.stack([p.matrix for p in others]))
+    width = pad.shape[-1]
+    for c, p in enumerate(others):
+        ref_pad, ref_valid = padded_hosts(host_lists(inst, p))
+        w = ref_pad.shape[1]
+        assert np.array_equal(pad[c, :, :w], ref_pad)
+        assert np.array_equal(valid[c, :, :w], ref_valid)
+        assert not valid[c, :, w:].any() and not pad[c, :, w:].any()
+    assert width == max(padded_hosts(host_lists(inst, p))[0].shape[1] for p in others)
+
+
+def _toggle(placement, svc, node):
+    out = placement.copy()
+    if out.has(svc, node):
+        out.remove(svc, node)
+    else:
+        out.add(svc, node)
+    return out
+
+
+def assert_same_trial(a, b):
+    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a.assignment, b.assignment)
+    assert a.latency.tobytes() == b.latency.tobytes()
+    assert a.latency_sum == b.latency_sum
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=instances_with_placements(),
+    model=st.sampled_from(["star", "chain"]),
+    data=st.data(),
+)
+def test_score_many_matches_per_candidate_and_fresh(pair, model, data):
+    """One batched re-route ≡ one ``score`` per candidate ≡ fresh routing.
+
+    The candidates always include one with no stale row (the base
+    itself), one whose service falls back to the cloud, and one that
+    gains a host; the rest are random edits, as Alg. 5 migrations make.
+    """
+    inst, placement = pair
+    svc = data.draw(st.integers(0, inst.n_services - 1), label="service")
+    to_cloud = placement.copy()
+    for k in to_cloud.hosts(svc):
+        to_cloud.remove(svc, k)
+    missing = [k for k in range(inst.n_servers) if not placement.has(svc, k)]
+    gained = placement.copy()
+    if missing:
+        gained.add(svc, data.draw(st.sampled_from(missing), label="gain"))
+    cands = [placement.copy(), to_cloud, gained]
+    for _ in range(data.draw(st.integers(0, 3), label="extra")):
+        cand = placement.copy()
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            cand = _toggle(
+                cand,
+                data.draw(st.integers(0, inst.n_services - 1), label="s"),
+                data.draw(st.integers(0, inst.n_servers - 1), label="n"),
+            )
+        cands.append(cand)
+    order = data.draw(st.permutations(range(len(cands))), label="order")
+    cands = [cands[i] for i in order]
+    for base_kind in ("scored", "routed"):
+        batched = BatchRouter(inst, model=model)
+        single = BatchRouter(inst, model=model)
+        for r in (batched, single):
+            if base_kind == "scored":
+                r.score(placement)
+            else:
+                r.route(placement)
+        trials = batched.score_many(cands)
+        assert len(trials) == len(cands)
+        for cand, trial in zip(cands, trials):
+            assert_same_trial(trial, single.score(cand))
+            assert_trial_is_fresh(inst, cand, trial, model)
+        # the batch re-routes exactly the rows the single calls do
+        assert batched.rerouted_rows == single.rerouted_rows
+        # scoring committed nothing: the base still routes as before
+        rows = batched.rerouted_rows
+        batched.score(placement)
+        assert batched.rerouted_rows == rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=instances_with_placements(), model=st.sampled_from(["star", "chain"]))
+def test_score_many_without_base_commits_the_first(pair, model):
+    """With no base, every placement is routed in full; the first becomes
+    the base."""
+    inst, placement = pair
+    other = _toggle(placement, 0, 0)
+    router = BatchRouter(inst, model=model)
+    trials = router.score_many([placement, other])
+    assert router.rerouted_rows == 2 * inst.n_requests
+    assert_trial_is_fresh(inst, placement, trials[0], model)
+    assert_trial_is_fresh(inst, other, trials[1], model)
+    rows = router.rerouted_rows
+    assert_same_trial(router.score(placement), trials[0])
+    assert router.rerouted_rows == rows

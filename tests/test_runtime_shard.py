@@ -352,12 +352,17 @@ class TestShardedEquivalence:
         assert out.stats.start_values_exchanged > 0
 
     @pytest.mark.parametrize("n_shards", [1, 3])
-    def test_congested_slot_matches_event_loop(self, n_shards):
+    def test_congested_slot_matches_event_loop(self, n_shards, monkeypatch):
         """A congested slot whose nodes hold >= 32 invocations, so the
         vectorized FIFO solve and the incremental splice/patch paths
-        run, over several rounds, and still equal the event loop."""
+        run, over several rounds, and still equal the event loop.  The
+        size rule's threshold is lowered below the node sizes, so these
+        nodes splice; at the default only nodes above ``FIFO_BLOCK``
+        invocations do (``test_size_rule_splices_only_large_nodes``)."""
         from repro.obs import Tracer, use_tracer
         from repro.runtime.replay import build_replay_plan
+
+        monkeypatch.setattr(shard, "FIFO_BLOCK", 16)
 
         inst, placement, routing = _solved(1, 100)
         at = np.random.default_rng(1).uniform(0.0, 10.0, inst.n_requests)
@@ -377,6 +382,53 @@ class TestShardedEquivalence:
         assert out is not None
         assert out.stats.rounds > 1
         assert tracer.counters["runtime.shard.cache_splices"] > 0
+
+    def test_size_rule_splices_only_large_nodes(self, monkeypatch):
+        """At the default threshold a node with at most ``FIFO_BLOCK``
+        invocations rebuilds on every re-simulation and a larger node
+        splices; both equal the event loop, and the same slot with every
+        node rebuilding gives identical outputs."""
+        from repro.obs import Tracer, use_tracer
+        from repro.runtime.shard import RegionShard
+
+        inst, placement, routing = _solved(2, 2400, n_servers=3)
+        placement = Placement(np.zeros_like(placement.matrix))
+        for svc in inst.requested_services.tolist():
+            placement.add(svc, 0)
+        placement.add(int(inst.requested_services[0]), 1)
+        routing = optimal_routing(inst, placement)
+        at = np.random.default_rng(2).uniform(0.0, 60.0, inst.n_requests)
+        serverless = ServerlessConfig(cold_start=0.5, keep_alive=5.0)
+        sims = []
+        sim_node = RegionShard._sim_node
+
+        def spy(self, v, idx, chpos):
+            before = self._telemetry.counters["cache_splices"]
+            sim_node(self, v, idx, chpos)
+            sims.append((idx.size, self._telemetry.counters["cache_splices"] > before))
+
+        monkeypatch.setattr(RegionShard, "_sim_node", spy)
+        with use_tracer(Tracer("size-rule")) as tracer:
+            out = _assert_identical(*_run_pair(
+                inst, placement, routing, at,
+                RegionMap.contiguous(inst.n_servers, 1), serverless,
+            ))
+        assert out is not None and out.stats.rounds > 1
+        sizes = {n for n, _ in sims}
+        assert min(sizes) <= shard.FIFO_BLOCK < max(sizes)
+        assert all(n > shard.FIFO_BLOCK for n, spliced in sims if spliced)
+        assert any(spliced for _, spliced in sims)
+        assert tracer.counters["runtime.shard.cache_splices"] > 0
+        # the same slot with every node rebuilding
+        monkeypatch.setattr(shard, "FIFO_BLOCK", max(sizes))
+        with use_tracer(Tracer("rebuild-only")) as tracer:
+            full, _ = _replay(
+                inst, placement, routing, at,
+                RegionMap.contiguous(inst.n_servers, 1), serverless,
+            )
+        assert tracer.counters["runtime.shard.cache_splices"] == 0
+        for name in ("start", "finish", "queueing", "cold_start"):
+            assert np.array_equal(getattr(full.result, name), getattr(out.result, name))
 
     def test_empty_request_set(self):
         inst, placement, routing = _solved(1, 4)
